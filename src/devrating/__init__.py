@@ -20,6 +20,7 @@ from .games import (
     append_strategy,
     apply_offset,
     permute_strategies,
+    symmetrize_payoffs,
     random_game,
     game_to_dict,
     game_from_dict,
@@ -38,6 +39,8 @@ from .cce import (
     cce_gap,
     cce_constraint_matrix,
     verify_cce,
+    ReducedConstraintSystem,
+    dedup_joints,
 )
 from .rating import (
     RatingError,
@@ -47,9 +50,9 @@ from .rating import (
     FreezeRecord,
     RatingResult,
     RatingCertificate,
-    solve_stage,
     detect_active,
     deviation_rating,
+    rate_reduced,
     rating_certificate,
     result_to_dict,
     save_result,
@@ -81,12 +84,8 @@ from .analysis import (
     ContributionMatrix,
     PROPERTY_NAMES,
     PropertyReport,
-    ReducedConstraintSystem,
     check_property,
-    dedup_joints,
-    rate_reduced,
     save_contributions,
-    symmetrize_payoffs,
     task_contributions,
 )
 from .improve import (

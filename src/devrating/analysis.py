@@ -1,36 +1,35 @@
-"""Equilibrium analysis and practical reductions.
+"""Equilibrium analysis.
 
 Task contributions decompose a model's rating into per-task terms at the
-reported equilibrium.  Symmetrization projects a game onto its symmetric
-part for a pair of players; joint deduplication merges identical
-constraint columns (e.g. those introduced by clones) so the rating LPs
-shrink without changing any rating.  The property-check harness verifies
-rating invariances (clone, mixture, offset, permutation, dominance,
-bounds) on concrete games and reports witnesses on failure.
+reported equilibrium.  The property-check harness verifies rating
+invariances (clone, mixture, offset, permutation, dominance, bounds) on
+concrete games and reports witnesses on failure.  The reductions
+(``symmetrize_payoffs``, ``dedup_joints``, ``rate_reduced``) live with
+the game, constraint and rating code and are re-exported here.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .cce import CCEConstraintMatrix, JointDistribution, cce_constraint_matrix
+from .cce import ReducedConstraintSystem, dedup_joints
 from .games import (
     GameValidationError,
     NormalFormGame,
     OffsetSpec,
     append_strategy,
     apply_offset,
-    build_game,
     clone_strategy,
     game_to_dict,
     mix_strategy,
     permute_strategies,
     quantize,
+    symmetrize_payoffs,
 )
-from .rating import RatingResult, SolverConfig, _rate_rows, _wrap_core
+from .rating import RatingResult, rate_reduced
 
 __all__ = [
     "ContributionMatrix",
@@ -97,108 +96,6 @@ def save_contributions(matrix: ContributionMatrix, path) -> None:
         for i, model in enumerate(matrix.models):
             row = [repr(float(x)) for x in matrix.values[i]]
             writer.writerow([model, *row, repr(float(matrix.ratings[i]))])
-
-
-def symmetrize_payoffs(game: NormalFormGame, p, q) -> NormalFormGame:
-    """Project the game onto its symmetric part for players ``p`` and ``q``.
-
-    The output is invariant under exchanging the two players (averaging
-    each payoff with the exchanged-role payoff at the swapped profile);
-    already-symmetric games come back unchanged.
-    """
-    pi = game.player_index(p)
-    qi = game.player_index(q)
-    if pi == qi:
-        raise GameValidationError("symmetrization needs two distinct players")
-    if game.shape[pi] != game.shape[qi]:
-        raise GameValidationError(
-            "symmetrization requires equal strategy counts for the two players"
-        )
-    tensors = []
-    for r, g in enumerate(game.payoffs):
-        if r == pi:
-            partner = game.payoffs[qi]
-        elif r == qi:
-            partner = game.payoffs[pi]
-        else:
-            partner = g
-        tensors.append(0.5 * (g + np.swapaxes(partner, pi, qi)))
-    return build_game(game.players, game.strategies, tensors)
-
-
-@dataclass(frozen=True)
-class ReducedConstraintSystem:
-    """A constraint matrix with duplicate joint columns merged.
-
-    ``column_groups[k]`` lists the original joint indices whose columns
-    collapsed into reduced column k; mass assigned to a reduced column is
-    spread uniformly over its group on expansion.
-    """
-
-    matrix: CCEConstraintMatrix
-    column_groups: tuple[tuple[int, ...], ...]
-    num_original_joints: int
-
-    def expand(self, reduced_probs: np.ndarray) -> np.ndarray:
-        probs = np.zeros(self.num_original_joints)
-        for k, group in enumerate(self.column_groups):
-            probs[list(group)] = reduced_probs[k] / len(group)
-        return probs
-
-
-def dedup_joints(matrix: CCEConstraintMatrix, decimals: int = 14) -> ReducedConstraintSystem:
-    """Merge joint columns that are identical after quantization.
-
-    Gains depend on columns only through their values, so any rating
-    computed on the reduced system equals the full-system rating.
-    """
-    vals = quantize(matrix.values, decimals)
-    order: dict[bytes, int] = {}
-    groups: list[list[int]] = []
-    cols = np.ascontiguousarray(vals.T)
-    for j in range(cols.shape[0]):
-        key = cols[j].tobytes()
-        k = order.get(key)
-        if k is None:
-            order[key] = len(groups)
-            groups.append([j])
-        else:
-            groups[k].append(j)
-    keep = [g[0] for g in groups]
-    reduced = CCEConstraintMatrix(
-        values=vals[:, keep],
-        players=matrix.players,
-        strategies=matrix.strategies,
-        row_keys=matrix.row_keys,
-    )
-    return ReducedConstraintSystem(
-        matrix=reduced,
-        column_groups=tuple(tuple(g) for g in groups),
-        num_original_joints=matrix.num_joints,
-    )
-
-
-def rate_reduced(game: NormalFormGame, config: SolverConfig = SolverConfig(), symmetrize: Sequence[tuple] = (), decimals: int = 14) -> RatingResult:
-    """Deviation ratings computed on the deduplicated constraint system.
-
-    ``symmetrize`` lists player pairs to symmetrize first (a no-op when
-    the game is already symmetric in those pairs).  The returned
-    equilibrium is expanded back to the full joint space.
-    """
-    for p, q in symmetrize:
-        game = symmetrize_payoffs(game, p, q)
-    matrix = cce_constraint_matrix(game)
-    system = dedup_joints(matrix, decimals)
-    spread = game.payoff_spread()
-    values = system.matrix.values
-    if config.scale_normalize and spread > 0.0:
-        values = values / spread
-        factor, detect_scale = spread, 1.0
-    else:
-        factor, detect_scale = 1.0, max(1.0, spread)
-    core = _rate_rows(values, config, detect_scale)
-    expanded = replace(core, sigma=system.expand(core.sigma))
-    return _wrap_core(game, matrix, expanded, factor)
 
 
 PROPERTY_NAMES = ("clone", "mixture", "offset", "permutation", "dominance", "bounds")

@@ -10,7 +10,9 @@ deviation gain
 the expected payoff change for player p from overriding every
 recommendation with a'.  Stacking one row per (player, strategy) over all
 joint profiles gives the deviation constraint matrix A, so the epsilon-CCE
-condition is ``A @ sigma <= epsilon`` entrywise.
+condition is ``A @ sigma <= epsilon`` entrywise.  Joint deduplication
+merges identical columns of A (e.g. those introduced by clones), so the
+rating LPs shrink without changing any rating.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .games import NormalFormGame
+from .games import NormalFormGame, quantize
 
 NEGATIVE_FLOOR = -1e-12
 SUM_TOLERANCE = 1e-9
@@ -36,6 +38,8 @@ __all__ = [
     "cce_gap",
     "cce_constraint_matrix",
     "verify_cce",
+    "ReducedConstraintSystem",
+    "dedup_joints",
 ]
 
 
@@ -242,4 +246,57 @@ def cce_constraint_matrix(game: NormalFormGame) -> CCEConstraintMatrix:
         players=game.players,
         strategies=game.strategies,
         row_keys=tuple(row_keys),
+    )
+
+
+@dataclass(frozen=True)
+class ReducedConstraintSystem:
+    """A constraint matrix with duplicate joint columns merged.
+
+    ``column_groups[k]`` lists the original joint indices whose columns
+    collapsed into reduced column k; mass assigned to a reduced column is
+    spread uniformly over its group on expansion.
+    """
+
+    matrix: CCEConstraintMatrix
+    column_groups: tuple[tuple[int, ...], ...]
+    num_original_joints: int
+
+    def expand(self, reduced_probs: np.ndarray) -> np.ndarray:
+        probs = np.zeros(self.num_original_joints)
+        for k, group in enumerate(self.column_groups):
+            probs[list(group)] = reduced_probs[k] / len(group)
+        return probs
+
+
+def dedup_joints(matrix: CCEConstraintMatrix) -> ReducedConstraintSystem:
+    """Merge joint columns that are identical after quantization at the
+    payoff precision ``games.QUANT_DECIMALS``.
+
+    Gains depend on columns only through their values, so any rating
+    computed on the reduced system equals the full-system rating.
+    """
+    vals = quantize(matrix.values)
+    order: dict[bytes, int] = {}
+    groups: list[list[int]] = []
+    cols = np.ascontiguousarray(vals.T)
+    for j in range(cols.shape[0]):
+        key = cols[j].tobytes()
+        k = order.get(key)
+        if k is None:
+            order[key] = len(groups)
+            groups.append([j])
+        else:
+            groups[k].append(j)
+    keep = [g[0] for g in groups]
+    reduced = CCEConstraintMatrix(
+        values=vals[:, keep],
+        players=matrix.players,
+        strategies=matrix.strategies,
+        row_keys=matrix.row_keys,
+    )
+    return ReducedConstraintSystem(
+        matrix=reduced,
+        column_groups=tuple(tuple(g) for g in groups),
+        num_original_joints=matrix.num_joints,
     )

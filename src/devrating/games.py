@@ -32,6 +32,7 @@ __all__ = [
     "append_strategy",
     "apply_offset",
     "permute_strategies",
+    "symmetrize_payoffs",
     "random_game",
     "game_to_dict",
     "game_from_dict",
@@ -287,6 +288,33 @@ def permute_strategies(game: NormalFormGame, player, order) -> NormalFormGame:
     strategies[p] = tuple(game.strategies[p][i] for i in order)
     tensors = [np.take(g, order, axis=p) for g in game.payoffs]
     return build_game(game.players, strategies, tensors)
+
+
+def symmetrize_payoffs(game: NormalFormGame, p, q) -> NormalFormGame:
+    """Project the game onto its symmetric part for players ``p`` and ``q``.
+
+    The output is invariant under exchanging the two players (averaging
+    each payoff with the exchanged-role payoff at the swapped profile);
+    already-symmetric games come back unchanged.
+    """
+    pi = game.player_index(p)
+    qi = game.player_index(q)
+    if pi == qi:
+        raise GameValidationError("symmetrization needs two distinct players")
+    if game.shape[pi] != game.shape[qi]:
+        raise GameValidationError(
+            "symmetrization requires equal strategy counts for the two players"
+        )
+    tensors = []
+    for r, g in enumerate(game.payoffs):
+        if r == pi:
+            partner = game.payoffs[qi]
+        elif r == qi:
+            partner = game.payoffs[pi]
+        else:
+            partner = g
+        tensors.append(0.5 * (g + np.swapaxes(partner, pi, qi)))
+    return build_game(game.players, game.strategies, tensors)
 
 
 def random_game(rng: np.random.Generator, sizes: Sequence[int], low: float = -1.0, high: float = 1.0) -> NormalFormGame:

@@ -18,20 +18,32 @@ at most sum_p |A_p| stages run.  Rows that are identically zero (e.g. a
 player with a single strategy) are frozen at 0 up front; their pinned
 equations are vacuous, so this changes nothing except the stage count.
 
+Constraints are divided by the game's payoff spread before solving and
+results are scaled back; the factor is global, so exact cross-player ties
+survive.  ``rate_reduced`` runs the same loop on the constraint system
+with duplicate joint columns merged.
+
 Ratings are invariant to cloning, mixing, payoff offsets, and strategy
 relabeling, and never exceed 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .cce import CCEConstraintMatrix, JointDistribution, cce_constraint_matrix, deviation_gains, verify_cce
-from .games import NormalFormGame
+from .cce import (
+    JointDistribution,
+    ReducedConstraintSystem,
+    cce_constraint_matrix,
+    dedup_joints,
+    deviation_gains,
+    verify_cce,
+)
+from .games import NormalFormGame, symmetrize_payoffs
 
 __all__ = [
     "RatingError",
@@ -41,9 +53,9 @@ __all__ = [
     "FreezeRecord",
     "RatingResult",
     "RatingCertificate",
-    "solve_stage",
     "detect_active",
     "deviation_rating",
+    "rate_reduced",
     "rating_certificate",
     "result_to_dict",
     "save_result",
@@ -72,21 +84,13 @@ class StageBudgetError(RatingError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and knobs for the rating engine.
+    """Tolerance of the rating engine.
 
-    active_tol        half-width of the tie band around a stage optimum,
-                      relative to the payoff scale
-    feasibility_tol   tolerance for pin-consistency and distribution checks
-    max_stages        stage budget (default: number of constraint rows)
-    scale_normalize   divide constraints by the payoff spread before
-                      solving and scale results back (one global factor,
-                      so exact cross-player ties survive)
+    active_tol   half-width of the tie band around a stage optimum,
+                 relative to the payoff spread
     """
 
     active_tol: float = 1e-8
-    feasibility_tol: float = 1e-9
-    max_stages: int | None = None
-    scale_normalize: bool = True
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ class RatingResult:
         }
 
 
-def _stage_lp(values: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray, config: SolverConfig):
+def _stage_lp(values: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray):
     """Solve one stage LP; returns (raw sigma, objective, duals for unfrozen rows)."""
     num_joints = values.shape[1]
     n = num_joints + 1
@@ -188,17 +192,16 @@ def _sanitize(sigma_raw: np.ndarray) -> np.ndarray:
     return sigma / total
 
 
-def detect_active(row_gains: np.ndarray, objective: float, duals: Mapping[int, float] | None = None, config: SolverConfig = SolverConfig(), frozen: frozenset | set = frozenset(), scale: float = 1.0) -> tuple[int, ...]:
+def detect_active(row_gains: np.ndarray, objective: float, duals: Mapping[int, float] | None = None, config: SolverConfig = SolverConfig(), frozen: frozenset | set = frozenset()) -> tuple[int, ...]:
     """Rows to freeze after a stage: every unfrozen row whose gain lies
-    within ``active_tol * max(1, scale)`` of the objective, plus any row
-    with a positive dual; falls back to the argmax row so at least one
-    row always freezes.  Ties freeze together, which is what keeps exact
-    duplicates (clones) at identical ratings."""
-    band = config.active_tol * max(1.0, scale)
+    within ``active_tol`` of the objective, plus any row with a positive
+    dual; falls back to the argmax row so at least one row always
+    freezes.  Ties freeze together, which is what keeps exact duplicates
+    (clones) at identical ratings."""
     active = {
         i
         for i in range(row_gains.size)
-        if i not in frozen and abs(row_gains[i] - objective) <= band
+        if i not in frozen and abs(row_gains[i] - objective) <= config.active_tol
     }
     if duals:
         active |= {
@@ -208,14 +211,6 @@ def detect_active(row_gains: np.ndarray, objective: float, duals: Mapping[int, f
         candidates = [i for i in range(row_gains.size) if i not in frozen]
         active = {max(candidates, key=lambda i: row_gains[i])}
     return tuple(sorted(active))
-
-
-@dataclass(frozen=True)
-class _CoreResult:
-    row_ratings: np.ndarray
-    sigma: np.ndarray
-    freeze_log: tuple[tuple[int, tuple[int, ...], float], ...]
-    stage_count: int
 
 
 class _PinBasis:
@@ -249,105 +244,79 @@ class _PinBasis:
         return True
 
 
-def _rate_rows(values: np.ndarray, config: SolverConfig, detect_scale: float) -> _CoreResult:
-    """Run the full freezing loop on a raw constraint matrix."""
+def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraintSystem | None = None) -> RatingResult:
+    """Run the freezing loop on the constraint matrix of ``game``, or on
+    ``reduced``, its deduplicated form, whose equilibrium is expanded
+    back to the full joint space."""
+    matrix = cce_constraint_matrix(game) if reduced is None else reduced.matrix
+    factor = game.payoff_spread() or 1.0
+    values = matrix.values / factor
     num_rows, num_joints = values.shape
-    budget = config.max_stages if config.max_stages is not None else num_rows
+    labels = [(game.players[p], game.strategies[p][i]) for p, i in matrix.row_keys]
     ratings = np.full(num_rows, np.nan)
     frozen: set[int] = set()
     basis = _PinBasis(num_joints)
-    log: list[tuple[int, tuple[int, ...], float]] = []
+    log: list[FreezeRecord] = []
+
+    def record(stage: int, rows: tuple[int, ...], objective: float) -> None:
+        log.append(FreezeRecord(stage, tuple(labels[i] for i in rows), objective * factor))
 
     zero_rows = tuple(int(i) for i in np.flatnonzero(~values.any(axis=1)))
     if zero_rows:
         ratings[list(zero_rows)] = 0.0
         frozen.update(zero_rows)
-        log.append((0, zero_rows, 0.0))
+        record(0, zero_rows, 0.0)
 
     sigma = np.full(num_joints, 1.0 / num_joints)
     stage = 0
     while len(frozen) < num_rows:
         stage += 1
-        if stage > budget:
+        if stage > num_rows:
             raise StageBudgetError(
-                f"exceeded stage budget {budget} with {num_rows - len(frozen)} rows left"
+                f"exceeded stage budget {num_rows} with {num_rows - len(frozen)} rows left"
             )
         unfrozen = np.array(sorted(set(range(num_rows)) - frozen), dtype=int)
         frozen_rows = np.array(basis.rows, dtype=int)
         frozen_vals = ratings[frozen_rows] if frozen_rows.size else np.empty(0)
-        sigma_raw, objective, dual_vec = _stage_lp(values, unfrozen, frozen_rows, frozen_vals, config)
+        sigma_raw, objective, dual_vec = _stage_lp(values, unfrozen, frozen_rows, frozen_vals)
         sigma = _sanitize(sigma_raw)
         gains = values @ sigma
         duals = {int(r): float(d) for r, d in zip(unfrozen, dual_vec)}
-        active = detect_active(gains, objective, duals, config, frozenset(frozen), detect_scale)
+        active = detect_active(gains, objective, duals, config, frozenset(frozen))
         for i in active:
             ratings[i] = gains[i]
             basis.try_add(i, values[i])
         frozen.update(active)
-        log.append((stage, active, objective))
-    return _CoreResult(ratings, sigma, tuple(log), stage)
+        record(stage, active, objective)
 
-
-def solve_stage(matrix: CCEConstraintMatrix, frozen: Mapping[tuple[str, str], float], config: SolverConfig = SolverConfig()):
-    """Solve a single stage LP against ``matrix``.
-
-    ``frozen`` maps (player, strategy) keys to pinned gain values.
-    Returns ``(sigma, objective, row_gains)`` with gains for every row.
-    """
-    items = sorted((matrix.row(p, s), float(v)) for (p, s), v in frozen.items())
-    if len(items) >= matrix.num_rows:
-        raise RatingError("every constraint row is already pinned")
-    rows = np.array([r for r, _ in items], dtype=int)
-    vals = np.array([v for _, v in items])
-    unfrozen = np.array([i for i in range(matrix.num_rows) if i not in set(rows.tolist())], dtype=int)
-    sigma_raw, objective, _ = _stage_lp(matrix.values, unfrozen, rows, vals, config)
-    sigma = _sanitize(sigma_raw)
-    return JointDistribution(sigma), objective, matrix.values @ sigma
-
-
-def _wrap_core(game: NormalFormGame, matrix: CCEConstraintMatrix, core: _CoreResult, factor: float) -> RatingResult:
-    ratings = []
-    cursor = 0
-    for p in range(game.num_players):
-        n = game.shape[p]
-        arr = core.row_ratings[cursor : cursor + n] * factor
-        arr.setflags(write=False)
-        ratings.append(arr)
-        cursor += n
-    labels = [
-        (matrix.players[p], matrix.strategies[p][i]) for p, i in matrix.row_keys
-    ]
-    freeze_log = tuple(
-        FreezeRecord(
-            stage=stage,
-            rows=tuple(labels[i] for i in rows),
-            objective=objective * factor,
-        )
-        for stage, rows, objective in core.freeze_log
-    )
+    scaled = ratings * factor
+    scaled.setflags(write=False)
     return RatingResult(
         players=game.players,
         strategies=game.strategies,
-        ratings=tuple(ratings),
-        equilibrium=JointDistribution(core.sigma),
-        freeze_log=freeze_log,
-        stage_count=core.stage_count,
+        ratings=tuple(np.split(scaled, np.cumsum(game.shape)[:-1])),
+        equilibrium=JointDistribution(sigma if reduced is None else reduced.expand(sigma)),
+        freeze_log=tuple(log),
+        stage_count=stage,
     )
 
 
 def deviation_rating(game: NormalFormGame, config: SolverConfig = SolverConfig()) -> RatingResult:
     """Rate every strategy of ``game`` by its deviation gain at the
     strictest reachable coarse-correlated equilibrium."""
-    matrix = cce_constraint_matrix(game)
-    spread = game.payoff_spread()
-    if config.scale_normalize and spread > 0.0:
-        values = matrix.values / spread
-        factor, detect_scale = spread, 1.0
-    else:
-        values = matrix.values
-        factor, detect_scale = 1.0, max(1.0, spread)
-    core = _rate_rows(values, config, detect_scale)
-    return _wrap_core(game, matrix, core, factor)
+    return _rate(game, config)
+
+
+def rate_reduced(game: NormalFormGame, config: SolverConfig = SolverConfig(), symmetrize: Sequence[tuple] = ()) -> RatingResult:
+    """Deviation ratings computed on the deduplicated constraint system.
+
+    ``symmetrize`` lists player pairs to symmetrize first (a no-op when
+    the game is already symmetric in those pairs).  The returned
+    equilibrium is expanded back to the full joint space.
+    """
+    for p, q in symmetrize:
+        game = symmetrize_payoffs(game, p, q)
+    return _rate(game, config, dedup_joints(cce_constraint_matrix(game)))
 
 
 @dataclass(frozen=True)

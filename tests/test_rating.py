@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from devrating.cce import JointDistribution, cce_constraint_matrix, verify_cce
+import devrating.rating
+from devrating.cce import cce_constraint_matrix, verify_cce
 from devrating.games import build_game, clone_strategy, random_game
+from devrating.improve import ImprovementLoopError, LoopConfig, run_improvement_loop
 from devrating.rating import (
-    RatingError,
     SolverConfig,
     StageBudgetError,
     detect_active,
     deviation_rating,
     rating_certificate,
     result_to_dict,
-    solve_stage,
 )
 from devrating.examples import (
     BIASED_SHAPLEY_EQUALIZER,
@@ -19,6 +19,8 @@ from devrating.examples import (
     matching_pennies,
     prisoners_dilemma,
 )
+
+from oracles import oracle_rating
 
 TABLE_RATING = -2720.0 / 964.0
 
@@ -133,22 +135,31 @@ def test_scale_invariance_of_normalized_solver():
         assert np.max(np.abs(rs.ratings[p] - 1000.0 * r.ratings[p])) < 1e-3
 
 
-def test_stage_budget_error():
+def test_stage_budget_error(monkeypatch):
+    # a stage that freezes nothing exhausts the budget of one stage per row
+    monkeypatch.setattr(devrating.rating, "detect_active", lambda *args: ())
     g = random_game(np.random.default_rng(2), (3, 3))
     with pytest.raises(StageBudgetError):
-        deviation_rating(g, SolverConfig(max_stages=1))
+        deviation_rating(g)
 
 
-def test_solve_stage_api():
-    game = matching_pennies()
-    A = cce_constraint_matrix(game)
-    sigma, objective, gains = solve_stage(A, frozen={})
-    assert objective == pytest.approx(0.0, abs=1e-9)
-    assert isinstance(sigma, JointDistribution)
-    assert gains.shape == (4,)
-    assert np.max(gains) <= objective + 1e-8
-    with pytest.raises(RatingError):
-        solve_stage(A, frozen={(p, s): 0.0 for _, p, s in A.iter_rows()})
+@pytest.mark.xfail(strict=True, reason="freezing depends on the optimal vertex HiGHS returns on tied payoffs")
+def test_tied_payoff_witness_matches_oracle():
+    game = build_game(
+        ["p1", "p2"],
+        [["a", "b"], ["x", "y"]],
+        [np.array([[0.0, 2.0], [0.0, 1.0]]), np.array([[1.0, 1.0], [0.0, 0.0]])],
+    )
+    expected, _ = oracle_rating(game)
+    ratings = np.concatenate(deviation_rating(game).ratings)
+    assert np.max(np.abs(ratings - expected)) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=ImprovementLoopError, reason="a stage LP with 6 pinned rows is reported infeasible on all three solver attempts")
+def test_infeasible_meta_game_rates():
+    rng = np.random.default_rng((1, 0))
+    config = LoopConfig(iterations=1, population_size=8, seed=int(rng.integers(2**31)))
+    run_improvement_loop(random_game(rng, (3, 3)), "deviation", config)
 
 
 def test_detect_active_band_and_ties():
