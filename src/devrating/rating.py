@@ -129,22 +129,39 @@ class RatingResult:
         }
 
 
-def _stage_lp(values: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray):
-    """Solve one stage LP; returns (raw sigma, objective, duals for unfrozen rows)."""
-    num_joints = values.shape[1]
-    n = num_joints + 1
+# Entries of the stage-LP row block above which it is stored sparse.
+_DENSE_MAX = 1_000_000
+
+
+def _lp_rows(values: np.ndarray):
+    """Every row a stage LP can use, over the columns (sigma, t): the
+    constraint rows with coefficient -1 on t, the simplex row, then the
+    constraint rows again with 0 on t (the pins).
+
+    linprog stacks A_ub over A_eq and converts them to CSC itself, so
+    HiGHS receives the same model either way; large blocks are kept in
+    CSC, which that conversion passes through without a dense scan,
+    small ones dense, which indexes faster than any sparse format."""
+    num_rows = values.shape[0]
+    block = np.zeros((2 * num_rows + 1, values.shape[1] + 1))
+    block[:num_rows, :-1] = values
+    block[:num_rows, -1] = -1.0
+    block[num_rows, :-1] = 1.0
+    block[num_rows + 1 :, :-1] = values
+    return sp.csc_matrix(block) if block.size > _DENSE_MAX else block
+
+
+def _stage_lp(lp_rows: np.ndarray | sp.csc_matrix, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray):
+    """Solve one stage LP over the rows of ``_lp_rows``; returns (raw
+    sigma, objective, duals for unfrozen rows)."""
+    num_rows = (lp_rows.shape[0] - 1) // 2
+    n = lp_rows.shape[1]
+    num_joints = n - 1
     cost = np.zeros(n)
     cost[-1] = 1.0
-    neg_t = sp.csr_matrix(-np.ones((unfrozen.size, 1)))
-    a_ub = sp.hstack([sp.csr_matrix(values[unfrozen]), neg_t], format="csr")
-    simplex_row = np.concatenate([np.ones(num_joints), [0.0]])[None, :]
-    eq_blocks = [sp.csr_matrix(simplex_row)]
-    b_eq = [1.0]
-    if frozen_rows.size:
-        zeros_t = sp.csr_matrix(np.zeros((frozen_rows.size, 1)))
-        eq_blocks.append(sp.hstack([sp.csr_matrix(values[frozen_rows]), zeros_t], format="csr"))
-        b_eq.extend(frozen_vals.tolist())
-    a_eq = sp.vstack(eq_blocks, format="csr")
+    a_ub = lp_rows[unfrozen]
+    a_eq = lp_rows[np.append(num_rows, num_rows + 1 + frozen_rows)]
+    b_eq = np.append(1.0, frozen_vals)
     bounds = np.zeros((n, 2))
     bounds[:, 1] = np.inf
     bounds[-1] = (-np.inf, np.inf)
@@ -165,7 +182,7 @@ def _stage_lp(values: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray,
             A_ub=a_ub,
             b_ub=np.zeros(unfrozen.size),
             A_eq=a_eq,
-            b_eq=np.asarray(b_eq),
+            b_eq=b_eq,
             bounds=bounds,
             method=attempt["method"],
             options=attempt["options"],
@@ -267,6 +284,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
         frozen.update(zero_rows)
         record(0, zero_rows, 0.0)
 
+    lp_rows = _lp_rows(values)
     sigma = np.full(num_joints, 1.0 / num_joints)
     stage = 0
     while len(frozen) < num_rows:
@@ -278,7 +296,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
         unfrozen = np.array(sorted(set(range(num_rows)) - frozen), dtype=int)
         frozen_rows = np.array(basis.rows, dtype=int)
         frozen_vals = ratings[frozen_rows] if frozen_rows.size else np.empty(0)
-        sigma_raw, objective, dual_vec = _stage_lp(values, unfrozen, frozen_rows, frozen_vals)
+        sigma_raw, objective, dual_vec = _stage_lp(lp_rows, unfrozen, frozen_rows, frozen_vals)
         sigma = _sanitize(sigma_raw)
         gains = values @ sigma
         duals = {int(r): float(d) for r, d in zip(unfrozen, dual_vec)}
