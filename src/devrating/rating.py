@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.sparse as sp  # noqa: F401  perfbench/tracing.py times sparse assembly through this binding
 from scipy.optimize import linprog
 
 from .cce import (
@@ -129,29 +129,21 @@ class RatingResult:
         }
 
 
-# Entries of the stage-LP row block above which it is stored sparse.
-_DENSE_MAX = 1_000_000
-
-
-def _lp_rows(values: np.ndarray):
+def _lp_rows(values: np.ndarray) -> np.ndarray:
     """Every row a stage LP can use, over the columns (sigma, t): the
     constraint rows with coefficient -1 on t, the simplex row, then the
-    constraint rows again with 0 on t (the pins).
-
-    linprog stacks A_ub over A_eq and converts them to CSC itself, so
-    HiGHS receives the same model either way; large blocks are kept in
-    CSC, which that conversion passes through without a dense scan,
-    small ones dense, which indexes faster than any sparse format."""
+    constraint rows again with 0 on t (the pins).  Each stage takes its
+    A_ub and A_eq as row slices of this one dense block."""
     num_rows = values.shape[0]
     block = np.zeros((2 * num_rows + 1, values.shape[1] + 1))
     block[:num_rows, :-1] = values
     block[:num_rows, -1] = -1.0
     block[num_rows, :-1] = 1.0
     block[num_rows + 1 :, :-1] = values
-    return sp.csc_matrix(block) if block.size > _DENSE_MAX else block
+    return block
 
 
-def _stage_lp(lp_rows: np.ndarray | sp.csc_matrix, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray):
+def _stage_lp(lp_rows: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray):
     """Solve one stage LP over the rows of ``_lp_rows``; returns (raw
     sigma, objective, duals for unfrozen rows)."""
     num_rows = (lp_rows.shape[0] - 1) // 2
