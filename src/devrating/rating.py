@@ -18,6 +18,19 @@ at most sum_p |A_p| stages run.  Rows that are identically zero (e.g. a
 player with a single strategy) are frozen at 0 up front; their pinned
 equations are vacuous, so this changes nothing except the stage count.
 
+Each stage LP has one row per (player, strategy) but one column per
+joint profile, so it is solved over a working set of joint columns (a
+restricted master LP).  The set starts as the ``WORKING_SET_PER_ROW``
+times num_rows joints whose largest constraint value is smallest.  After
+each solve every joint is priced with one product of the LP duals (of the
+unfrozen rows, the pins and the simplex row) with the constraint matrix;
+up to ``PRICING_BATCH_PER_ROW`` times num_rows joints whose reduced cost
+is below ``-PRICING_TOL`` join the set and the LP is solved again.  The
+stage ends when no joint outside the set prices negative, so its
+optimum is that of the LP over all joints.  The set only grows, so the
+previous stage's solution stays feasible for the pins.  A game with no
+more joints than the initial width is solved over every joint at once.
+
 Constraints are divided by the game's payoff spread before solving and
 results are scaled back; the factor is global, so exact cross-player ties
 survive.  ``rate_reduced`` runs the same loop on the constraint system
@@ -60,6 +73,13 @@ __all__ = [
     "result_to_dict",
     "save_result",
 ]
+
+
+# Working-set width per constraint row, pricing batch per constraint row,
+# and the reduced cost below which a joint prices negative.
+WORKING_SET_PER_ROW = 4
+PRICING_BATCH_PER_ROW = 1
+PRICING_TOL = 1e-9
 
 
 class RatingError(Exception):
@@ -132,8 +152,10 @@ class RatingResult:
 def _lp_rows(values: np.ndarray) -> np.ndarray:
     """Every row a stage LP can use, over the columns (sigma, t): the
     constraint rows with coefficient -1 on t, the simplex row, then the
-    constraint rows again with 0 on t (the pins).  Each stage takes its
-    A_ub and A_eq as row slices of this one dense block."""
+    constraint rows again with 0 on t (the pins).  ``values`` holds the
+    working-set columns of the constraint matrix; the block is rebuilt
+    when the set grows, and each solve takes its A_ub and A_eq as row
+    slices of it."""
     num_rows = values.shape[0]
     block = np.zeros((2 * num_rows + 1, values.shape[1] + 1))
     block[:num_rows, :-1] = values
@@ -145,7 +167,8 @@ def _lp_rows(values: np.ndarray) -> np.ndarray:
 
 def _stage_lp(lp_rows: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray):
     """Solve one stage LP over the rows of ``_lp_rows``; returns (raw
-    sigma, objective, duals for unfrozen rows)."""
+    sigma, objective, duals for unfrozen rows, equality marginals for the
+    simplex row and then the pins)."""
     num_rows = (lp_rows.shape[0] - 1) // 2
     n = lp_rows.shape[1]
     num_joints = n - 1
@@ -189,7 +212,18 @@ def _stage_lp(lp_rows: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray
     if res.status != 0:
         raise RatingError(f"stage LP failed (status {res.status}): {res.message}")
     duals = -np.asarray(res.ineqlin.marginals)
-    return res.x[:num_joints], float(res.fun), duals
+    return res.x[:num_joints], float(res.fun), duals, np.asarray(res.eqlin.marginals)
+
+
+def _entering_joints(values: np.ndarray, row_prices: np.ndarray, simplex_price: float, working: np.ndarray) -> np.ndarray:
+    """Joints outside ``working`` whose reduced cost -(row_prices @ column)
+    - simplex_price is below -PRICING_TOL, most negative first, at most
+    PRICING_BATCH_PER_ROW per constraint row."""
+    reduced = -(row_prices @ values) - simplex_price
+    reduced[working] = np.inf
+    candidates = np.flatnonzero(reduced < -PRICING_TOL)
+    order = np.argsort(reduced[candidates], kind="stable")
+    return candidates[order[: PRICING_BATCH_PER_ROW * values.shape[0]]]
 
 
 def _sanitize(sigma_raw: np.ndarray) -> np.ndarray:
@@ -276,7 +310,9 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
         frozen.update(zero_rows)
         record(0, zero_rows, 0.0)
 
-    lp_rows = _lp_rows(values)
+    # the joints whose largest constraint value is smallest, in column order
+    working = np.sort(np.argsort(values.max(axis=0), kind="stable")[: WORKING_SET_PER_ROW * num_rows])
+    lp_rows = _lp_rows(values[:, working])
     sigma = np.full(num_joints, 1.0 / num_joints)
     stage = 0
     while len(frozen) < num_rows:
@@ -288,8 +324,20 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
         unfrozen = np.array(sorted(set(range(num_rows)) - frozen), dtype=int)
         frozen_rows = np.array(basis.rows, dtype=int)
         frozen_vals = ratings[frozen_rows] if frozen_rows.size else np.empty(0)
-        sigma_raw, objective, dual_vec = _stage_lp(lp_rows, unfrozen, frozen_rows, frozen_vals)
-        sigma = _sanitize(sigma_raw)
+        while True:
+            sigma_raw, objective, dual_vec, eq_prices = _stage_lp(lp_rows, unfrozen, frozen_rows, frozen_vals)
+            if working.size == num_joints:
+                break
+            row_prices = np.zeros(num_rows)
+            row_prices[unfrozen] = -dual_vec
+            row_prices[frozen_rows] = eq_prices[1:]
+            entering = _entering_joints(values, row_prices, eq_prices[0], working)
+            if not entering.size:
+                break
+            working = np.union1d(working, entering)
+            lp_rows = _lp_rows(values[:, working])
+        sigma = np.zeros(num_joints)
+        sigma[working] = _sanitize(sigma_raw)
         gains = values @ sigma
         duals = {int(r): float(d) for r, d in zip(unfrozen, dual_vec)}
         active = detect_active(gains, objective, duals, config, frozenset(frozen))

@@ -4,12 +4,14 @@ import pytest
 import devrating.rating
 from devrating.cce import cce_constraint_matrix, verify_cce
 from devrating.games import build_game, clone_strategy, random_game
+from devrating.gamify import ScoreTable, game_from_table_3p
 from devrating.improve import ImprovementLoopError, LoopConfig, run_improvement_loop
 from devrating.rating import (
     SolverConfig,
     StageBudgetError,
     detect_active,
     deviation_rating,
+    rate_reduced,
     rating_certificate,
     result_to_dict,
 )
@@ -201,3 +203,71 @@ def test_mixture_rating_is_weighted_average():
     res = deviation_rating(mixed)
     want = float(w @ base.ratings[1])
     assert res.rating("p2", "mix-1") == pytest.approx(want, abs=1e-7)
+
+
+def _planted_table(seed: int, models: int, tasks: int, copies: int = 2) -> ScoreTable:
+    """Uniform scores under ``copies`` planted copies of a model that is
+    best on every task, as in the leaderboard benchmark."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.05, 0.85, size=(models - copies, tasks))
+    scores = np.vstack([np.tile(base.max(axis=0) + 0.05, (copies, 1)), base])
+    return ScoreTable(
+        models=tuple(f"m{i:02d}" for i in range(models)),
+        tasks=tuple(f"t{j}" for j in range(tasks)),
+        scores=scores,
+    )
+
+
+def _counting_linprog(monkeypatch) -> list[int]:
+    """Wrap the engine's ``linprog``; returns the list of column counts
+    passed, one entry per call."""
+    columns: list[int] = []
+    original = devrating.rating.linprog
+
+    def counting(c, *args, **kwargs):
+        columns.append(len(c))
+        return original(c, *args, **kwargs)
+
+    monkeypatch.setattr(devrating.rating, "linprog", counting)
+    return columns
+
+
+def _freeze_sets(result):
+    return [(rec.stage, frozenset(rec.rows)) for rec in result.freeze_log]
+
+
+def test_column_generation_matches_exact_lp(monkeypatch):
+    games = [
+        game_from_table_3p(_planted_table(11, 12, 4)),
+        game_from_table_3p(_planted_table(12, 16, 6)),
+        *(random_game(np.random.default_rng(600 + k), (6, 6, 6)) for k in range(3)),
+    ]
+    columns = _counting_linprog(monkeypatch)
+    working_set = [deviation_rating(games[0])]
+    assert max(columns) < games[0].num_joints + 1
+    working_set += [deviation_rating(g) for g in games[1:]]
+    monkeypatch.undo()
+    monkeypatch.setattr(devrating.rating, "WORKING_SET_PER_ROW", 10**9)
+    exact = [deviation_rating(g) for g in games]
+    for g, cg, ex in zip(games, working_set, exact):
+        assert _freeze_sets(cg) == _freeze_sets(ex)
+        for p in range(g.num_players):
+            assert np.max(np.abs(cg.ratings[p] - ex.ratings[p])) <= 1e-9
+    monkeypatch.undo()
+
+    # games no wider than the working set take one full LP per stage
+    for g in (random_game(np.random.default_rng(3), (8, 8)), random_game(np.random.default_rng(4), (2, 2, 2))):
+        columns = _counting_linprog(monkeypatch)
+        res = deviation_rating(g)
+        assert columns == [g.num_joints + 1] * res.stage_count
+        monkeypatch.undo()
+
+
+def test_rate_reduced_matches_direct_on_working_set_path():
+    for seed in (21, 22):
+        game = game_from_table_3p(_planted_table(seed, 12, 4))
+        direct = deviation_rating(game)
+        for symmetrize in ((), (("model_a", "model_b"),)):
+            reduced = rate_reduced(game, symmetrize=symmetrize)
+            for p in range(3):
+                assert np.max(np.abs(direct.ratings[p] - reduced.ratings[p])) <= 1e-9
