@@ -31,6 +31,20 @@ optimum is that of the LP over all joints.  The set only grows, so the
 previous stage's solution stays feasible for the pins.  A game with no
 more joints than the initial width is solved over every joint at once.
 
+A stage needs no LP once the pins fix every unfrozen row.  The frozen
+rows that enter the LP as pins are kept as an orthonormal basis, with
+the simplex row orthogonalized against it.  An unfrozen row that lies in
+the span of the pins and the simplex row has the same gain at every
+distribution that meets the pins.  How far its gain can move is bounded
+by the max minus min of its residual outside that span.  When that bound
+is at most ``FIXED_GAIN_TOL`` times ``active_tol`` for every unfrozen
+row, the remaining stages freeze rows from the gains at the last LP
+solution, with no further LP.  Such stages still count as stages and get
+freeze records.  This is common because constraint rows have far lower
+rank than their count: a row of a score-table game depends on the joint
+only through the task marginal, and a 16-row 8×8 meta-game of a 3×3 game
+has rank 6.
+
 Constraints are divided by the game's payoff spread before solving and
 results are scaled back; the factor is global, so exact cross-player ties
 survive.  ``rate_reduced`` runs the same loop on the constraint system
@@ -80,6 +94,9 @@ __all__ = [
 WORKING_SET_PER_ROW = 4
 PRICING_BATCH_PER_ROW = 1
 PRICING_TOL = 1e-9
+# A row whose gain can move by at most this fraction of active_tol while
+# the pins hold is fixed, and a stage whose rows are all fixed needs no LP.
+FIXED_GAIN_TOL = 1e-3
 
 
 class RatingError(Exception):
@@ -257,7 +274,8 @@ def detect_active(row_gains: np.ndarray, objective: float, duals: Mapping[int, f
 
 
 class _PinBasis:
-    """Incrementally selected linearly independent subset of frozen rows.
+    """Incrementally selected linearly independent subset of frozen rows,
+    kept as an orthonormal basis of their span.
 
     A frozen row that lies in the span of already-pinned rows carries no
     new information: its gain is a fixed linear combination of the pinned
@@ -265,25 +283,67 @@ class _PinBasis:
     equalities only injects the accumulated floating-point drift between
     stages, which can make the solver reject an (exactly redundant) pin
     system as infeasible.  Only basis rows are therefore passed to the
-    stage LPs."""
+    stage LPs.
 
-    def __init__(self, num_joints: int):
-        self._q = np.empty((num_joints, 0))
+    The basis is preallocated for ``capacity`` rows, and it keeps the
+    simplex direction orthogonalized against the pins, so that ``fixes``
+    can tell when the pins leave no gain free to move."""
+
+    def __init__(self, capacity: int, num_joints: int):
+        self._q = np.empty((capacity, num_joints))
+        self._size = 0
         self.rows: list[int] = []
+        # unit simplex direction orthogonal to the pins; None once in their span
+        self._ones: np.ndarray | None = np.full(num_joints, num_joints**-0.5)
+        self._fixed: set[int] = set()
+        self._not_fixed: dict[int, int] = {}  # row -> basis size when checked
+
+    def _residual(self, vector: np.ndarray) -> np.ndarray:
+        """``vector`` minus its projection onto the basis (two passes)."""
+        v = np.array(vector, dtype=float)
+        if self._size:
+            q = self._q[: self._size]
+            v -= (q @ v) @ q
+            v -= (q @ v) @ q
+        return v
 
     def try_add(self, index: int, vector: np.ndarray, rel_tol: float = 1e-9) -> bool:
         norm = float(np.linalg.norm(vector))
         if norm == 0.0:
             return False
-        v = np.array(vector, dtype=float)
-        if self._q.shape[1]:
-            v -= self._q @ (self._q.T @ v)
-            v -= self._q @ (self._q.T @ v)
+        v = self._residual(vector)
         residual = float(np.linalg.norm(v))
         if residual <= rel_tol * norm:
             return False
-        self._q = np.hstack([self._q, (v / residual)[:, None]])
+        self._q[self._size] = v / residual
+        self._size += 1
         self.rows.append(index)
+        if self._ones is not None:
+            ones = self._residual(self._ones)
+            length = float(np.linalg.norm(ones))
+            self._ones = ones / length if length > rel_tol else None
+        return True
+
+    def fixes(self, values: np.ndarray, rows: Sequence[int], tol: float) -> bool:
+        """Whether every row of ``values`` listed in ``rows`` lies in the
+        span of the pins and the simplex row, up to a residual whose max
+        minus min is at most ``tol``.  That spread bounds how far the
+        row's gain can move over the distributions that meet the pins.
+        A row found fixed stays fixed, as pins are never removed; a row
+        found not fixed is checked again only after the basis grows."""
+        q = self._q[: self._size]
+        for i in rows:
+            if i in self._fixed:
+                continue
+            if self._not_fixed.get(i) == self._size:
+                return False
+            r = values[i] - (q @ values[i]) @ q
+            if self._ones is not None:
+                r -= (self._ones @ r) * self._ones
+            if r.max() - r.min() > tol:
+                self._not_fixed[i] = self._size
+                return False
+            self._fixed.add(i)
         return True
 
 
@@ -298,7 +358,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
     labels = [(game.players[p], game.strategies[p][i]) for p, i in matrix.row_keys]
     ratings = np.full(num_rows, np.nan)
     frozen: set[int] = set()
-    basis = _PinBasis(num_joints)
+    basis = _PinBasis(num_rows, num_joints)
     log: list[FreezeRecord] = []
 
     def record(stage: int, rows: tuple[int, ...], objective: float) -> None:
@@ -322,28 +382,34 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
                 f"exceeded stage budget {num_rows} with {num_rows - len(frozen)} rows left"
             )
         unfrozen = np.array(sorted(set(range(num_rows)) - frozen), dtype=int)
-        frozen_rows = np.array(basis.rows, dtype=int)
-        frozen_vals = ratings[frozen_rows] if frozen_rows.size else np.empty(0)
-        while True:
-            sigma_raw, objective, dual_vec, eq_prices = _stage_lp(lp_rows, unfrozen, frozen_rows, frozen_vals)
-            if working.size == num_joints:
-                break
-            row_prices = np.zeros(num_rows)
-            row_prices[unfrozen] = -dual_vec
-            row_prices[frozen_rows] = eq_prices[1:]
-            entering = _entering_joints(values, row_prices, eq_prices[0], working)
-            if not entering.size:
-                break
-            working = np.union1d(working, entering)
-            lp_rows = _lp_rows(values[:, working])
-        sigma = np.zeros(num_joints)
-        sigma[working] = _sanitize(sigma_raw)
-        gains = values @ sigma
-        duals = {int(r): float(d) for r, d in zip(unfrozen, dual_vec)}
-        active = detect_active(gains, objective, duals, config, frozenset(frozen))
-        for i in active:
-            ratings[i] = gains[i]
-            basis.try_add(i, values[i])
+        if basis.rows and basis.fixes(values, unfrozen.tolist(), FIXED_GAIN_TOL * config.active_tol):
+            # every distribution that meets the pins gives each unfrozen row
+            # the same gain, so the gains of the last LP solution stand for all
+            objective = float(gains[unfrozen].max())
+            active = detect_active(gains, objective, None, config, frozenset(frozen))
+        else:
+            frozen_rows = np.array(basis.rows, dtype=int)
+            frozen_vals = ratings[frozen_rows] if frozen_rows.size else np.empty(0)
+            while True:
+                sigma_raw, objective, dual_vec, eq_prices = _stage_lp(lp_rows, unfrozen, frozen_rows, frozen_vals)
+                if working.size == num_joints:
+                    break
+                row_prices = np.zeros(num_rows)
+                row_prices[unfrozen] = -dual_vec
+                row_prices[frozen_rows] = eq_prices[1:]
+                entering = _entering_joints(values, row_prices, eq_prices[0], working)
+                if not entering.size:
+                    break
+                working = np.union1d(working, entering)
+                lp_rows = _lp_rows(values[:, working])
+            sigma = np.zeros(num_joints)
+            sigma[working] = _sanitize(sigma_raw)
+            gains = values @ sigma
+            duals = {int(r): float(d) for r, d in zip(unfrozen, dual_vec)}
+            active = detect_active(gains, objective, duals, config, frozenset(frozen))
+            for i in active:
+                basis.try_add(i, values[i])
+        ratings[list(active)] = gains[list(active)]
         frozen.update(active)
         record(stage, active, objective)
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import devrating.improve
 import devrating.rating
 from devrating.cce import cce_constraint_matrix, verify_cce
 from devrating.games import build_game, clone_strategy, random_game
 from devrating.gamify import ScoreTable, game_from_table_3p
-from devrating.improve import ImprovementLoopError, LoopConfig, run_improvement_loop
+from devrating.improve import LoopConfig, run_improvement_loop
 from devrating.rating import (
     SolverConfig,
     StageBudgetError,
@@ -157,11 +158,15 @@ def test_tied_payoff_witness_matches_oracle():
     assert np.max(np.abs(ratings - expected)) <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, raises=ImprovementLoopError, reason="a stage LP with 6 pinned rows is reported infeasible on all three solver attempts")
-def test_infeasible_meta_game_rates():
+def test_infeasible_meta_game_rates(monkeypatch):
+    # HiGHS calls this meta-game's stage LP with 6 pins infeasible; its
+    # rows have rank 6, so that stage needs no LP
+    rated = _recording_rater(monkeypatch)
     rng = np.random.default_rng((1, 0))
     config = LoopConfig(iterations=1, population_size=8, seed=int(rng.integers(2**31)))
     run_improvement_loop(random_game(rng, (3, 3)), "deviation", config)
+    [(meta, result)] = rated
+    assert rating_certificate(meta, result).ok()
 
 
 def test_detect_active_band_and_ties():
@@ -232,6 +237,21 @@ def _counting_linprog(monkeypatch) -> list[int]:
     return columns
 
 
+def _recording_rater(monkeypatch) -> list:
+    """Wrap the improvement loop's rater; returns the list of (meta-game,
+    result) pairs it rated."""
+    rated = []
+    original = devrating.improve.deviation_rating
+
+    def recording(game, *args, **kwargs):
+        result = original(game, *args, **kwargs)
+        rated.append((game, result))
+        return result
+
+    monkeypatch.setattr(devrating.improve, "deviation_rating", recording)
+    return rated
+
+
 def _freeze_sets(result):
     return [(rec.stage, frozenset(rec.rows)) for rec in result.freeze_log]
 
@@ -271,3 +291,55 @@ def test_rate_reduced_matches_direct_on_working_set_path():
             reduced = rate_reduced(game, symmetrize=symmetrize)
             for p in range(3):
                 assert np.max(np.abs(direct.ratings[p] - reduced.ratings[p])) <= 1e-9
+
+
+def _discrete_game(k: int):
+    """A small game with tied integer payoffs in -2..2."""
+    shape = [(2, 2), (2, 3), (2, 2, 2)][k % 3]
+    rng = np.random.default_rng((7070, k))
+    return build_game(
+        [f"p{i}" for i in range(len(shape))],
+        [[f"s{j}" for j in range(n)] for n in shape],
+        [rng.integers(-2, 3, size=shape).astype(float) for _ in shape],
+    )
+
+
+def test_lp_free_stages_match_lp_path(monkeypatch):
+    rated = _recording_rater(monkeypatch)
+    run_improvement_loop(random_game(np.random.default_rng(8), (3, 3)), "deviation", LoopConfig(iterations=10, population_size=8, seed=5))
+    monkeypatch.undo()
+    tables = [game_from_table_3p(_planted_table(seed, 12, 4)) for seed in (31, 32)]
+    metas = [meta for meta, _ in rated]
+    discrete = [_discrete_game(k) for k in range(30)]
+    games = tables + metas + discrete
+    lp_calls, lp_free = [], []
+    for g in games:
+        columns = _counting_linprog(monkeypatch)
+        lp_free.append(deviation_rating(g))
+        lp_calls.append(len(columns))
+        monkeypatch.undo()
+    monkeypatch.setattr(devrating.rating._PinBasis, "fixes", lambda self, *args: False)
+    for g, free in zip(games, lp_free):
+        with_lp = deviation_rating(g)
+        assert _freeze_sets(free) == _freeze_sets(with_lp)
+        assert free.stage_count == with_lp.stage_count
+        for p in range(g.num_players):
+            assert np.max(np.abs(free.ratings[p] - with_lp.ratings[p])) <= 1e-9
+    fewer = [calls < r.stage_count for calls, r in zip(lp_calls, lp_free)]
+    assert fewer[0]  # a table
+    assert any(fewer[len(tables) : len(tables) + len(metas)])  # a meta-game
+    assert any(fewer[len(tables) + len(metas) :])  # a discrete game
+
+    # negative control: a row just outside the span of the pins is not fixed
+    monkeypatch.undo()
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=(5, 12))
+    values[3] = 2.0 * values[0] - values[1] + 0.5  # in the span of rows 0, 1 and the simplex row
+    values[4] = values[3]
+    values[4, 7] += 1e-6  # just outside it
+    basis = devrating.rating._PinBasis(5, 12)
+    assert basis.try_add(0, values[0]) and basis.try_add(1, values[1])
+    tol = devrating.rating.FIXED_GAIN_TOL * SolverConfig().active_tol
+    assert not basis.fixes(values, [2], tol)
+    assert not basis.fixes(values, [4], tol)
+    assert basis.fixes(values, [3], tol)
