@@ -45,6 +45,12 @@ rank than their count: a row of a score-table game depends on the joint
 only through the task marginal, and a 16-row 8×8 meta-game of a 3×3 game
 has rank 6.
 
+Each stage LP is passed straight to HiGHS through one solver object per
+rating, as the same model ``linprog(method="highs")`` would build, so it
+skips scipy's per-call option parsing; only a solve that HiGHS reports
+infeasible falls back to ``linprog`` without presolve, then to its
+interior-point method.
+
 Constraints are divided by the game's payoff spread before solving and
 results are scaled back; the factor is global, so exact cross-player ties
 survive.  ``rate_reduced`` runs the same loop on the constraint system
@@ -55,12 +61,31 @@ relabeling, and never exceed 0.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp  # noqa: F401  perfbench/tracing.py times sparse assembly through this binding
 from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsDebugLevel,
+        HighsLp,
+        HighsModelStatus,
+        HighsOptions,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+        kHighsInf,
+        simplex_constants,
+    )
+except ImportError as exc:
+    raise ImportError(
+        "devrating needs scipy>=1.15.0, whose scipy.optimize._highspy._core "
+        "provides the HiGHS solver object the stage LPs are passed to"
+    ) from exc
 
 from .cce import (
     JointDistribution,
@@ -97,10 +122,26 @@ PRICING_TOL = 1e-9
 # A row whose gain can move by at most this fraction of active_tol while
 # the pins hold is fixed, and a stage whose rows are all fixed needs no LP.
 FIXED_GAIN_TOL = 1e-3
+# How far a stage LP solution may miss its bounds and rows before it is
+# rejected: linprog's check, its default tol of 1e-9 widened as
+# scipy's _check_result widens it.
+RESIDUAL_TOL = np.sqrt(1e-9) * 10
 
 
 class RatingError(Exception):
-    """The rating engine failed to produce a result."""
+    """The rating engine failed to produce a result.
+
+    When a stage LP failed, ``model_status`` is the HiGHS model status of
+    the last solver attempt and ``attempts`` the number of attempts
+    tried; both are also in the message.  Otherwise both are None.
+    """
+
+    def __init__(self, message: str, model_status: str | None = None, attempts: int | None = None):
+        if model_status is not None:
+            message += f" (HiGHS model status {model_status!r}, solver attempts: {attempts})"
+        super().__init__(message)
+        self.model_status = model_status
+        self.attempts = attempts
 
 
 class RatingInfeasibleError(RatingError):
@@ -110,8 +151,8 @@ class RatingInfeasibleError(RatingError):
     this indicates solver failure rather than a genuinely empty system.
     """
 
-    def __init__(self, message: str, frozen: dict):
-        super().__init__(message)
+    def __init__(self, message: str, frozen: dict, model_status: str | None = None, attempts: int | None = None):
+        super().__init__(message, model_status, attempts)
         self.frozen = frozen
 
 
@@ -182,54 +223,129 @@ def _lp_rows(values: np.ndarray) -> np.ndarray:
     return block
 
 
-def _stage_lp(lp_rows: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray):
+def _new_highs() -> _Highs:
+    """A HiGHS solver with the options ``linprog(method="highs")`` sets."""
+    highs = _Highs()
+    options = HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs.passOptions(options)
+    return highs
+
+
+def _solve_highs(highs: _Highs, rows: np.ndarray, num_ub: int, b_eq: np.ndarray):
+    """Minimize the last column (t) subject to the first ``num_ub`` of
+    ``rows`` being <= 0 and the others equal to ``b_eq``, with every
+    column but t nonnegative.  HiGHS gets the model that
+    ``linprog(method="highs")`` builds from the same arrays, so it returns
+    the same vertex.  Returns the HiGHS model status and, when that is
+    optimal, (x, objective, row activities, row duals), else None."""
+    num_rows, n = rows.shape
+    # every vector but the cost converts to HiGHS faster from a list
+    lp = HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = num_rows
+    lp.col_cost_ = np.append(np.zeros(n - 1), 1.0)
+    lp.col_lower_ = [0.0] * (n - 1) + [-kHighsInf]
+    lp.col_upper_ = [kHighsInf] * n
+    lp.row_lower_ = [-kHighsInf] * num_ub + b_eq.tolist()
+    lp.row_upper_ = [0.0] * num_ub + b_eq.tolist()
+    # compressed columns with zeros dropped and row indices sorted, as
+    # scipy.sparse.csc_array builds them from a dense array
+    cols, index = np.nonzero(rows.T)
+    matrix = lp.a_matrix_
+    matrix.format_ = MatrixFormat.kColwise
+    matrix.num_col_ = n
+    matrix.num_row_ = num_rows
+    matrix.start_ = np.append(0, np.cumsum(np.bincount(cols, minlength=n))).tolist()
+    matrix.index_ = index.tolist()
+    matrix.value_ = rows[index, cols].tolist()
+    if highs.passModel(lp) == HighsStatus.kError:
+        return HighsModelStatus.kModelError, None
+    if highs.run() == HighsStatus.kError:
+        return highs.getModelStatus(), None
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        return status, None
+    solution = highs.getSolution()
+    return status, (
+        np.array(solution.col_value),
+        highs.getInfo().objective_function_value,
+        np.array(solution.row_value),
+        np.array(solution.row_dual),
+    )
+
+
+def _stage_lp(highs: _Highs, lp_rows: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray):
     """Solve one stage LP over the rows of ``_lp_rows``; returns (raw
     sigma, objective, duals for unfrozen rows, equality marginals for the
     simplex row and then the pins)."""
     num_rows = (lp_rows.shape[0] - 1) // 2
-    n = lp_rows.shape[1]
-    num_joints = n - 1
-    cost = np.zeros(n)
-    cost[-1] = 1.0
-    a_ub = lp_rows[unfrozen]
-    a_eq = lp_rows[np.append(num_rows, num_rows + 1 + frozen_rows)]
+    num_ub = unfrozen.size
+    rows = lp_rows[np.concatenate((unfrozen, [num_rows], num_rows + 1 + frozen_rows))]
     b_eq = np.append(1.0, frozen_vals)
+    status, solution = _solve_highs(highs, rows, num_ub, b_eq)
+    if solution is not None:
+        x, objective, activity, row_dual = solution
+        slack = np.append(np.zeros(num_ub), b_eq) - activity
+        if (
+            np.isnan(x).any()
+            or np.isnan(objective)
+            or np.isnan(slack).any()
+            or (x[:-1] < -RESIDUAL_TOL).any()
+            or (slack[:num_ub] < -RESIDUAL_TOL).any()
+            or (np.abs(slack[num_ub:]) > RESIDUAL_TOL).any()
+        ):
+            raise RatingError(
+                f"stage LP solution with {frozen_rows.size} pinned rows misses its "
+                f"constraints by more than {RESIDUAL_TOL:.2e}",
+                highs.modelStatusToString(status),
+                1,
+            )
+        return x[:-1], float(objective), -row_dual[:num_ub], row_dual[num_ub:]
+    if status not in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
+        raise RatingError(f"stage LP failed with {frozen_rows.size} pinned rows", highs.modelStatusToString(status), 1)
+    # Pinned values are gains achieved by an earlier stage's solution, so
+    # the equality system always has a feasible point within solver
+    # tolerance.  Presolve can still misreport nearly rank-deficient pin
+    # blocks as infeasible, so linprog retries without presolve, then with
+    # the interior-point method, before a genuine inconsistency is declared.
+    n = rows.shape[1]
     bounds = np.zeros((n, 2))
     bounds[:, 1] = np.inf
     bounds[-1] = (-np.inf, np.inf)
-    # Pinned values are gains achieved by an earlier stage's solution, so
-    # the equality system always has a feasible point within solver
-    # tolerance.  Tightened tolerances or presolve can still misreport
-    # nearly rank-deficient pin blocks as infeasible, hence the retry
-    # ladder before declaring a genuine inconsistency.
-    attempts = (
-        {"method": "highs", "options": None},
-        {"method": "highs", "options": {"presolve": False}},
-        {"method": "highs-ipm", "options": {"presolve": False}},
-    )
-    res = None
-    for attempt in attempts:
+    attempts = 1
+    for method in ("highs", "highs-ipm"):
         res = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=np.zeros(unfrozen.size),
-            A_eq=a_eq,
+            np.append(np.zeros(n - 1), 1.0),
+            A_ub=rows[:num_ub],
+            b_ub=np.zeros(num_ub),
+            A_eq=rows[num_ub:],
             b_eq=b_eq,
             bounds=bounds,
-            method=attempt["method"],
-            options=attempt["options"],
+            method=method,
+            options={"presolve": False},
         )
+        attempts += 1
         if res.status != 2:
             break
+    # linprog quotes HiGHS's status code in its message, unless it rejected
+    # a solution that HiGHS reported optimal
+    code = re.search(r"HiGHS Status (\d+)", res.message)
+    model_status = highs.modelStatusToString(HighsModelStatus(int(code.group(1))) if code else HighsModelStatus.kOptimal)
     if res.status == 2:
         raise RatingInfeasibleError(
             f"stage LP infeasible with {frozen_rows.size} pinned rows: {res.message}",
             frozen={int(r): float(v) for r, v in zip(frozen_rows, frozen_vals)},
+            model_status=model_status,
+            attempts=attempts,
         )
     if res.status != 0:
-        raise RatingError(f"stage LP failed (status {res.status}): {res.message}")
-    duals = -np.asarray(res.ineqlin.marginals)
-    return res.x[:num_joints], float(res.fun), duals, np.asarray(res.eqlin.marginals)
+        raise RatingError(f"stage LP failed (status {res.status}): {res.message}", model_status, attempts)
+    return res.x[:-1], float(res.fun), -np.asarray(res.ineqlin.marginals), np.asarray(res.eqlin.marginals)
 
 
 def _entering_joints(values: np.ndarray, row_prices: np.ndarray, simplex_price: float, working: np.ndarray) -> np.ndarray:
@@ -374,6 +490,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
     working = np.sort(np.argsort(values.max(axis=0), kind="stable")[: WORKING_SET_PER_ROW * num_rows])
     lp_rows = _lp_rows(values[:, working])
     sigma = np.full(num_joints, 1.0 / num_joints)
+    highs = _new_highs()
     stage = 0
     while len(frozen) < num_rows:
         stage += 1
@@ -391,7 +508,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
             frozen_rows = np.array(basis.rows, dtype=int)
             frozen_vals = ratings[frozen_rows] if frozen_rows.size else np.empty(0)
             while True:
-                sigma_raw, objective, dual_vec, eq_prices = _stage_lp(lp_rows, unfrozen, frozen_rows, frozen_vals)
+                sigma_raw, objective, dual_vec, eq_prices = _stage_lp(highs, lp_rows, unfrozen, frozen_rows, frozen_vals)
                 if working.size == num_joints:
                     break
                 row_prices = np.zeros(num_rows)

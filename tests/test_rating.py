@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import devrating.improve
 import devrating.rating
@@ -8,6 +13,8 @@ from devrating.games import build_game, clone_strategy, random_game
 from devrating.gamify import ScoreTable, game_from_table_3p
 from devrating.improve import LoopConfig, run_improvement_loop
 from devrating.rating import (
+    RatingError,
+    RatingInfeasibleError,
     SolverConfig,
     StageBudgetError,
     detect_active,
@@ -223,17 +230,17 @@ def _planted_table(seed: int, models: int, tasks: int, copies: int = 2) -> Score
     )
 
 
-def _counting_linprog(monkeypatch) -> list[int]:
-    """Wrap the engine's ``linprog``; returns the list of column counts
-    passed, one entry per call."""
+def _counting_solves(monkeypatch) -> list[int]:
+    """Wrap the engine's direct HiGHS solve; returns the list of column
+    counts passed, one entry per stage-LP solve."""
     columns: list[int] = []
-    original = devrating.rating.linprog
+    original = devrating.rating._solve_highs
 
-    def counting(c, *args, **kwargs):
-        columns.append(len(c))
-        return original(c, *args, **kwargs)
+    def counting(highs, rows, *args):
+        columns.append(rows.shape[1])
+        return original(highs, rows, *args)
 
-    monkeypatch.setattr(devrating.rating, "linprog", counting)
+    monkeypatch.setattr(devrating.rating, "_solve_highs", counting)
     return columns
 
 
@@ -262,7 +269,7 @@ def test_column_generation_matches_exact_lp(monkeypatch):
         game_from_table_3p(_planted_table(12, 16, 6)),
         *(random_game(np.random.default_rng(600 + k), (6, 6, 6)) for k in range(3)),
     ]
-    columns = _counting_linprog(monkeypatch)
+    columns = _counting_solves(monkeypatch)
     working_set = [deviation_rating(games[0])]
     assert max(columns) < games[0].num_joints + 1
     working_set += [deviation_rating(g) for g in games[1:]]
@@ -277,7 +284,7 @@ def test_column_generation_matches_exact_lp(monkeypatch):
 
     # games no wider than the working set take one full LP per stage
     for g in (random_game(np.random.default_rng(3), (8, 8)), random_game(np.random.default_rng(4), (2, 2, 2))):
-        columns = _counting_linprog(monkeypatch)
+        columns = _counting_solves(monkeypatch)
         res = deviation_rating(g)
         assert columns == [g.num_joints + 1] * res.stage_count
         monkeypatch.undo()
@@ -314,7 +321,7 @@ def test_lp_free_stages_match_lp_path(monkeypatch):
     games = tables + metas + discrete
     lp_calls, lp_free = [], []
     for g in games:
-        columns = _counting_linprog(monkeypatch)
+        columns = _counting_solves(monkeypatch)
         lp_free.append(deviation_rating(g))
         lp_calls.append(len(columns))
         monkeypatch.undo()
@@ -343,3 +350,130 @@ def test_lp_free_stages_match_lp_path(monkeypatch):
     assert not basis.fixes(values, [2], tol)
     assert not basis.fixes(values, [4], tol)
     assert basis.fixes(values, [3], tol)
+
+
+def _captured_stage_lps(monkeypatch, games) -> list[tuple]:
+    """Rate ``games`` and return the arguments of every stage LP solved."""
+    captured = []
+    original = devrating.rating._stage_lp
+
+    def capturing(highs, *args):
+        captured.append(tuple(np.array(a) for a in args))
+        return original(highs, *args)
+
+    monkeypatch.setattr(devrating.rating, "_stage_lp", capturing)
+    for g in games:
+        deviation_rating(g)
+    monkeypatch.undo()
+    return captured
+
+
+def _linprog_stage_lp(lp_rows, unfrozen, frozen_rows, frozen_vals):
+    """The stage LP as ``linprog(method="highs")`` solves it."""
+    num_rows = (lp_rows.shape[0] - 1) // 2
+    n = lp_rows.shape[1]
+    cost = np.zeros(n)
+    cost[-1] = 1.0
+    bounds = np.zeros((n, 2))
+    bounds[:, 1] = np.inf
+    bounds[-1] = (-np.inf, np.inf)
+    res = linprog(
+        cost,
+        A_ub=lp_rows[unfrozen],
+        b_ub=np.zeros(unfrozen.size),
+        A_eq=lp_rows[np.append(num_rows, num_rows + 1 + frozen_rows)],
+        b_eq=np.append(1.0, frozen_vals),
+        bounds=bounds,
+        method="highs",
+    )
+    assert res.status == 0
+    return res.x[:-1], float(res.fun), -np.asarray(res.ineqlin.marginals), np.asarray(res.eqlin.marginals)
+
+
+def test_direct_stage_lp_matches_linprog(monkeypatch):
+    rated = _recording_rater(monkeypatch)
+    run_improvement_loop(random_game(np.random.default_rng(8), (3, 3)), "deviation", LoopConfig(iterations=1, population_size=8, seed=5))
+    monkeypatch.undo()
+    [(meta, _)] = rated
+    table = game_from_table_3p(_planted_table(31, 12, 4))
+    lps = _captured_stage_lps(monkeypatch, [table, meta, *(_discrete_game(k) for k in range(6))])
+    widths = [lp[0].shape[1] for lp in lps]
+    assert len(set(widths[: widths.index(meta.num_joints + 1)])) > 1  # a pricing re-solve on the table
+    assert any(lp[2].size for lp in lps)  # stages with pins
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the direct solve fell back to linprog")
+
+    monkeypatch.setattr(devrating.rating, "linprog", no_fallback)
+    highs = devrating.rating._new_highs()
+    for lp in lps:
+        direct = devrating.rating._stage_lp(highs, *lp)
+        expected = _linprog_stage_lp(*lp)
+        assert [np.asarray(v).tobytes() for v in direct] == [np.asarray(v).tobytes() for v in expected]
+
+
+def test_infeasible_direct_attempt_falls_back_to_linprog(monkeypatch):
+    games = [biased_shapley(), random_game(np.random.default_rng(5), (3, 3)), game_from_table_3p(_planted_table(31, 12, 4))]
+    direct = [deviation_rating(g) for g in games]
+    calls = []
+    original = devrating.rating.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return original(*args, **kwargs)
+
+    infeasible = devrating.rating.HighsModelStatus.kInfeasible
+    monkeypatch.setattr(devrating.rating, "_solve_highs", lambda *args: (infeasible, None))
+    monkeypatch.setattr(devrating.rating, "linprog", counting)
+    for g, want in zip(games, direct):
+        res = deviation_rating(g)
+        assert _freeze_sets(res) == _freeze_sets(want)
+        for p in range(g.num_players):
+            assert np.max(np.abs(res.ratings[p] - want.ratings[p])) <= 1e-9
+    assert calls and set(calls) == {"highs"}
+
+
+def test_direct_attempt_failing_the_residual_check_raises(monkeypatch):
+    original = devrating.rating._solve_highs
+
+    def off_by_1e3(highs, rows, num_ub, b_eq):
+        # every equality row misses its right-hand side by 1e-3
+        status, (x, objective, activity, row_dual) = original(highs, rows, num_ub, b_eq)
+        activity[num_ub:] += 1e-3
+        return status, (x, objective, activity, row_dual)
+
+    monkeypatch.setattr(devrating.rating, "_solve_highs", off_by_1e3)
+    with pytest.raises(RatingError, match="misses its constraints") as err:
+        deviation_rating(prisoners_dilemma())
+    assert (err.value.model_status, err.value.attempts) == ("Optimal", 1)
+    assert "HiGHS model status 'Optimal', solver attempts: 1" in str(err.value)
+
+
+def test_failed_ladder_reports_model_status_and_attempts(monkeypatch):
+    infeasible = devrating.rating.HighsModelStatus.kInfeasible
+    original = devrating.rating.linprog
+
+    def negative_mass(*args, b_eq, **kwargs):
+        # no nonnegative distribution sums to -1
+        return original(*args, b_eq=np.append(-1.0, b_eq[1:]), **kwargs)
+
+    monkeypatch.setattr(devrating.rating, "_solve_highs", lambda *args: (infeasible, None))
+    monkeypatch.setattr(devrating.rating, "linprog", negative_mass)
+    with pytest.raises(RatingInfeasibleError) as err:
+        deviation_rating(prisoners_dilemma())
+    assert (err.value.model_status, err.value.attempts, err.value.frozen) == ("Infeasible", 3, {})
+    assert "HiGHS model status 'Infeasible', solver attempts: 3" in str(err.value)
+
+
+def test_missing_highs_bindings_name_the_required_scipy():
+    # scipy.optimize itself imports the bindings, so hide them only after it
+    src = str(Path(devrating.rating.__file__).resolve().parents[1])
+    code = (
+        "import sys, scipy.optimize\n"
+        "sys.modules['scipy.optimize._highspy._core'] = None\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import devrating\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "ImportError: devrating needs scipy>=1.15.0" in proc.stderr
