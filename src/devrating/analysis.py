@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cce import ReducedConstraintSystem, dedup_joints
+from .cce import ReducedConstraintSystem, cce_constraint_matrix, dedup_joints
 from .games import (
     GameValidationError,
     NormalFormGame,
@@ -145,19 +145,16 @@ def check_property(game: NormalFormGame, property_name: str, rater: Rater, seed:
     base = _ratings_of(rater, game)
 
     if property_name == "bounds":
+        # a rating lies between its row's smallest deviation gain and 0
         deviation = 0.0
-        detail_rows = []
-        for q in range(game.num_players):
-            g = game.payoffs[q]
-            for i in range(game.shape[q]):
-                dev = np.expand_dims(np.take(g, i, axis=q), axis=q)
-                lower = float((np.broadcast_to(dev, game.shape) - g).min())
-                r = float(base[q][i])
-                excess = max(r - 0.0, lower - r)
-                if excess > deviation:
-                    deviation = excess
-                    detail_rows = [f"({game.players[q]}, {game.strategies[q][i]})"]
-        detail = f"worst row {detail_rows[0]}" if detail_rows else "all within bounds"
+        detail = "all within bounds"
+        matrix = cce_constraint_matrix(game)
+        for (q, i), lower in zip(matrix.row_keys, matrix.values.min(axis=1).tolist()):
+            r = float(base[q][i])
+            excess = max(r, lower - r)
+            if excess > deviation:
+                deviation = excess
+                detail = f"worst row ({game.players[q]}, {game.strategies[q][i]})"
         return PropertyReport("bounds", deviation <= tol, deviation, tol, seed, detail)
 
     i = int(rng.integers(game.shape[p]))

@@ -33,7 +33,6 @@ from .cce import DistributionError
 from .examples import biased_shapley
 from .games import GameError, NormalFormGame, load_game, random_game
 from .gamify import (
-    ScoreTable,
     game_from_table_2pzs,
     game_from_table_3p,
     load_score_table,

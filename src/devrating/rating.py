@@ -10,13 +10,13 @@ joint-distribution simplex:
                A_f @ sigma == r_f        (rows frozen at earlier stages)
                sigma in the simplex
 
-Rows whose gain reaches the stage optimum (within ``active_tol``, or
-flagged by a positive dual) are frozen at their achieved gain, so the
-current solution stays feasible for every later stage and stage
-objectives never increase.  Every stage freezes at least one row, hence
-at most sum_p |A_p| stages run.  Rows that are identically zero (e.g. a
-player with a single strategy) are frozen at 0 up front; their pinned
-equations are vacuous, so this changes nothing except the stage count.
+Rows whose gain reaches the stage optimum (within ``active_tol``) are
+frozen at their achieved gain, so the current solution stays feasible
+for every later stage and stage objectives never increase.  Every stage
+freezes at least one row, hence at most sum_p |A_p| stages run.  Rows
+that are identically zero (e.g. a player with a single strategy) are
+frozen at 0 up front; their pinned equations are vacuous, so this
+changes nothing except the stage count.
 
 Each stage LP has one row per (player, strategy) but one column per
 joint profile, so it is solved over a working set of joint columns (a
@@ -45,11 +45,10 @@ rank than their count: a row of a score-table game depends on the joint
 only through the task marginal, and a 16-row 8×8 meta-game of a 3×3 game
 has rank 6.
 
-Each stage LP is passed straight to HiGHS through one solver object per
-rating, as the same model ``linprog(method="highs")`` would build, so it
-skips scipy's per-call option parsing; only a solve that HiGHS reports
-infeasible falls back to ``linprog`` without presolve, then to its
-interior-point method.
+Each stage LP is passed once to one HiGHS solver object per rating, as
+the same model scipy's ``method="highs"`` LP wrapper would build, so it
+skips scipy's per-call option parsing.  A solve that is not optimal, or
+whose solution misses its constraints, raises a typed ``RatingError``.
 
 Constraints are divided by the game's payoff spread before solving and
 results are scaled back; the factor is global, so exact cross-player ties
@@ -61,13 +60,12 @@ relabeling, and never exceed 0.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp  # noqa: F401  perfbench/tracing.py times sparse assembly through this binding
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  perfbench/tracing.py raises TraceError unless this is bound
 
 try:
     from scipy.optimize._highspy._core import (
@@ -123,7 +121,7 @@ PRICING_TOL = 1e-9
 # the pins hold is fixed, and a stage whose rows are all fixed needs no LP.
 FIXED_GAIN_TOL = 1e-3
 # How far a stage LP solution may miss its bounds and rows before it is
-# rejected: linprog's check, its default tol of 1e-9 widened as
+# rejected: scipy's post-solve check, its default tol of 1e-9 widened as
 # scipy's _check_result widens it.
 RESIDUAL_TOL = np.sqrt(1e-9) * 10
 
@@ -131,17 +129,15 @@ RESIDUAL_TOL = np.sqrt(1e-9) * 10
 class RatingError(Exception):
     """The rating engine failed to produce a result.
 
-    When a stage LP failed, ``model_status`` is the HiGHS model status of
-    the last solver attempt and ``attempts`` the number of attempts
-    tried; both are also in the message.  Otherwise both are None.
+    When a stage LP failed, ``model_status`` is its HiGHS model status,
+    which is also in the message.  Otherwise it is None.
     """
 
-    def __init__(self, message: str, model_status: str | None = None, attempts: int | None = None):
+    def __init__(self, message: str, model_status: str | None = None):
         if model_status is not None:
-            message += f" (HiGHS model status {model_status!r}, solver attempts: {attempts})"
+            message += f" (HiGHS model status {model_status!r})"
         super().__init__(message)
         self.model_status = model_status
-        self.attempts = attempts
 
 
 class RatingInfeasibleError(RatingError):
@@ -149,10 +145,11 @@ class RatingInfeasibleError(RatingError):
 
     Pinned values are gains achieved by the previous stage's solution, so
     this indicates solver failure rather than a genuinely empty system.
+    ``frozen`` maps each pinned row to its pinned value.
     """
 
-    def __init__(self, message: str, frozen: dict, model_status: str | None = None, attempts: int | None = None):
-        super().__init__(message, model_status, attempts)
+    def __init__(self, message: str, frozen: dict, model_status: str | None = None):
+        super().__init__(message, model_status)
         self.frozen = frozen
 
 
@@ -224,7 +221,7 @@ def _lp_rows(values: np.ndarray) -> np.ndarray:
 
 
 def _new_highs() -> _Highs:
-    """A HiGHS solver with the options ``linprog(method="highs")`` sets."""
+    """A HiGHS solver with the options scipy's ``method="highs"`` sets."""
     highs = _Highs()
     options = HighsOptions()
     options.presolve = "on"
@@ -236,18 +233,22 @@ def _new_highs() -> _Highs:
     return highs
 
 
-def _solve_highs(highs: _Highs, rows: np.ndarray, num_ub: int, b_eq: np.ndarray):
-    """Minimize the last column (t) subject to the first ``num_ub`` of
-    ``rows`` being <= 0 and the others equal to ``b_eq``, with every
-    column but t nonnegative.  HiGHS gets the model that
-    ``linprog(method="highs")`` builds from the same arrays, so it returns
-    the same vertex.  Returns the HiGHS model status and, when that is
-    optimal, (x, objective, row activities, row duals), else None."""
-    num_rows, n = rows.shape
+def _stage_lp(highs: _Highs, lp_rows: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray):
+    """Minimize t subject to the ``unfrozen`` rows of ``_lp_rows`` being
+    <= 0, the simplex row equal to 1 and the pins of ``frozen_rows`` equal
+    to ``frozen_vals``, with every column but t nonnegative.  HiGHS gets
+    the model that scipy's ``method="highs"`` builds from the same arrays,
+    so it returns the same vertex.  Returns (raw sigma, objective,
+    row duals in the order unfrozen rows, simplex row, pins)."""
+    num_rows = (lp_rows.shape[0] - 1) // 2
+    num_ub = unfrozen.size
+    rows = lp_rows[np.concatenate((unfrozen, [num_rows], num_rows + 1 + frozen_rows))]
+    b_eq = np.append(1.0, frozen_vals)
+    m, n = rows.shape
     # every vector but the cost converts to HiGHS faster from a list
     lp = HighsLp()
     lp.num_col_ = n
-    lp.num_row_ = num_rows
+    lp.num_row_ = m
     lp.col_cost_ = np.append(np.zeros(n - 1), 1.0)
     lp.col_lower_ = [0.0] * (n - 1) + [-kHighsInf]
     lp.col_upper_ = [kHighsInf] * n
@@ -259,93 +260,43 @@ def _solve_highs(highs: _Highs, rows: np.ndarray, num_ub: int, b_eq: np.ndarray)
     matrix = lp.a_matrix_
     matrix.format_ = MatrixFormat.kColwise
     matrix.num_col_ = n
-    matrix.num_row_ = num_rows
+    matrix.num_row_ = m
     matrix.start_ = np.append(0, np.cumsum(np.bincount(cols, minlength=n))).tolist()
     matrix.index_ = index.tolist()
     matrix.value_ = rows[index, cols].tolist()
     if highs.passModel(lp) == HighsStatus.kError:
-        return HighsModelStatus.kModelError, None
-    if highs.run() == HighsStatus.kError:
-        return highs.getModelStatus(), None
-    status = highs.getModelStatus()
-    if status != HighsModelStatus.kOptimal:
-        return status, None
-    solution = highs.getSolution()
-    return status, (
-        np.array(solution.col_value),
-        highs.getInfo().objective_function_value,
-        np.array(solution.row_value),
-        np.array(solution.row_dual),
-    )
-
-
-def _stage_lp(highs: _Highs, lp_rows: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray):
-    """Solve one stage LP over the rows of ``_lp_rows``; returns (raw
-    sigma, objective, duals for unfrozen rows, equality marginals for the
-    simplex row and then the pins)."""
-    num_rows = (lp_rows.shape[0] - 1) // 2
-    num_ub = unfrozen.size
-    rows = lp_rows[np.concatenate((unfrozen, [num_rows], num_rows + 1 + frozen_rows))]
-    b_eq = np.append(1.0, frozen_vals)
-    status, solution = _solve_highs(highs, rows, num_ub, b_eq)
-    if solution is not None:
-        x, objective, activity, row_dual = solution
-        slack = np.append(np.zeros(num_ub), b_eq) - activity
-        if (
-            np.isnan(x).any()
-            or np.isnan(objective)
-            or np.isnan(slack).any()
-            or (x[:-1] < -RESIDUAL_TOL).any()
-            or (slack[:num_ub] < -RESIDUAL_TOL).any()
-            or (np.abs(slack[num_ub:]) > RESIDUAL_TOL).any()
-        ):
-            raise RatingError(
-                f"stage LP solution with {frozen_rows.size} pinned rows misses its "
-                f"constraints by more than {RESIDUAL_TOL:.2e}",
-                highs.modelStatusToString(status),
-                1,
-            )
-        return x[:-1], float(objective), -row_dual[:num_ub], row_dual[num_ub:]
-    if status not in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
-        raise RatingError(f"stage LP failed with {frozen_rows.size} pinned rows", highs.modelStatusToString(status), 1)
-    # Pinned values are gains achieved by an earlier stage's solution, so
-    # the equality system always has a feasible point within solver
-    # tolerance.  Presolve can still misreport nearly rank-deficient pin
-    # blocks as infeasible, so linprog retries without presolve, then with
-    # the interior-point method, before a genuine inconsistency is declared.
-    n = rows.shape[1]
-    bounds = np.zeros((n, 2))
-    bounds[:, 1] = np.inf
-    bounds[-1] = (-np.inf, np.inf)
-    attempts = 1
-    for method in ("highs", "highs-ipm"):
-        res = linprog(
-            np.append(np.zeros(n - 1), 1.0),
-            A_ub=rows[:num_ub],
-            b_ub=np.zeros(num_ub),
-            A_eq=rows[num_ub:],
-            b_eq=b_eq,
-            bounds=bounds,
-            method=method,
-            options={"presolve": False},
-        )
-        attempts += 1
-        if res.status != 2:
-            break
-    # linprog quotes HiGHS's status code in its message, unless it rejected
-    # a solution that HiGHS reported optimal
-    code = re.search(r"HiGHS Status (\d+)", res.message)
-    model_status = highs.modelStatusToString(HighsModelStatus(int(code.group(1))) if code else HighsModelStatus.kOptimal)
-    if res.status == 2:
+        status = HighsModelStatus.kModelError
+    elif highs.run() == HighsStatus.kError:
+        status = HighsModelStatus.kSolveError
+    else:
+        status = highs.getModelStatus()
+    model_status = highs.modelStatusToString(status)
+    if status == HighsModelStatus.kInfeasible:
         raise RatingInfeasibleError(
-            f"stage LP infeasible with {frozen_rows.size} pinned rows: {res.message}",
-            frozen={int(r): float(v) for r, v in zip(frozen_rows, frozen_vals)},
-            model_status=model_status,
-            attempts=attempts,
+            f"stage LP infeasible with {frozen_rows.size} pinned rows",
+            {int(r): float(v) for r, v in zip(frozen_rows, frozen_vals)},
+            model_status,
         )
-    if res.status != 0:
-        raise RatingError(f"stage LP failed (status {res.status}): {res.message}", model_status, attempts)
-    return res.x[:-1], float(res.fun), -np.asarray(res.ineqlin.marginals), np.asarray(res.eqlin.marginals)
+    if status != HighsModelStatus.kOptimal:
+        raise RatingError(f"stage LP failed with {frozen_rows.size} pinned rows", model_status)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    objective = highs.getInfo().objective_function_value
+    slack = np.append(np.zeros(num_ub), b_eq) - np.array(solution.row_value)
+    if (
+        np.isnan(x).any()
+        or np.isnan(objective)
+        or np.isnan(slack).any()
+        or (x[:-1] < -RESIDUAL_TOL).any()
+        or (slack[:num_ub] < -RESIDUAL_TOL).any()
+        or (np.abs(slack[num_ub:]) > RESIDUAL_TOL).any()
+    ):
+        raise RatingError(
+            f"stage LP solution with {frozen_rows.size} pinned rows misses its "
+            f"constraints by more than {RESIDUAL_TOL:.2e}",
+            model_status,
+        )
+    return x[:-1], float(objective), np.array(solution.row_dual)
 
 
 def _entering_joints(values: np.ndarray, row_prices: np.ndarray, simplex_price: float, working: np.ndarray) -> np.ndarray:
@@ -368,21 +319,16 @@ def _sanitize(sigma_raw: np.ndarray) -> np.ndarray:
     return sigma / total
 
 
-def detect_active(row_gains: np.ndarray, objective: float, duals: Mapping[int, float] | None = None, config: SolverConfig = SolverConfig(), frozen: frozenset | set = frozenset()) -> tuple[int, ...]:
+def detect_active(row_gains: np.ndarray, objective: float, config: SolverConfig = SolverConfig(), frozen: frozenset | set = frozenset()) -> tuple[int, ...]:
     """Rows to freeze after a stage: every unfrozen row whose gain lies
-    within ``active_tol`` of the objective, plus any row with a positive
-    dual; falls back to the argmax row so at least one row always
-    freezes.  Ties freeze together, which is what keeps exact duplicates
-    (clones) at identical ratings."""
+    within ``active_tol`` of the objective; falls back to the argmax row
+    so at least one row always freezes.  Ties freeze together, which is
+    what keeps exact duplicates (clones) at identical ratings."""
     active = {
         i
         for i in range(row_gains.size)
         if i not in frozen and abs(row_gains[i] - objective) <= config.active_tol
     }
-    if duals:
-        active |= {
-            i for i, d in duals.items() if i not in frozen and d > config.active_tol
-        }
     if not active:
         candidates = [i for i in range(row_gains.size) if i not in frozen]
         active = {max(candidates, key=lambda i: row_gains[i])}
@@ -503,18 +449,18 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
             # every distribution that meets the pins gives each unfrozen row
             # the same gain, so the gains of the last LP solution stand for all
             objective = float(gains[unfrozen].max())
-            active = detect_active(gains, objective, None, config, frozenset(frozen))
+            active = detect_active(gains, objective, config, frozenset(frozen))
         else:
             frozen_rows = np.array(basis.rows, dtype=int)
             frozen_vals = ratings[frozen_rows] if frozen_rows.size else np.empty(0)
             while True:
-                sigma_raw, objective, dual_vec, eq_prices = _stage_lp(highs, lp_rows, unfrozen, frozen_rows, frozen_vals)
+                sigma_raw, objective, row_dual = _stage_lp(highs, lp_rows, unfrozen, frozen_rows, frozen_vals)
                 if working.size == num_joints:
                     break
                 row_prices = np.zeros(num_rows)
-                row_prices[unfrozen] = -dual_vec
-                row_prices[frozen_rows] = eq_prices[1:]
-                entering = _entering_joints(values, row_prices, eq_prices[0], working)
+                row_prices[unfrozen] = row_dual[: unfrozen.size]
+                row_prices[frozen_rows] = row_dual[unfrozen.size + 1 :]
+                entering = _entering_joints(values, row_prices, row_dual[unfrozen.size], working)
                 if not entering.size:
                     break
                 working = np.union1d(working, entering)
@@ -522,8 +468,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
             sigma = np.zeros(num_joints)
             sigma[working] = _sanitize(sigma_raw)
             gains = values @ sigma
-            duals = {int(r): float(d) for r, d in zip(unfrozen, dual_vec)}
-            active = detect_active(gains, objective, duals, config, frozenset(frozen))
+            active = detect_active(gains, objective, config, frozenset(frozen))
             for i in active:
                 basis.try_add(i, values[i])
         ratings[list(active)] = gains[list(active)]

@@ -180,11 +180,6 @@ def test_detect_active_band_and_ties():
     gains = np.array([-1.0, -0.5, -0.5 + 1e-10, -2.0])
     active = detect_active(gains, objective=-0.5, config=SolverConfig())
     assert active == (1, 2)
-    # dual information adds rows the band missed
-    active = detect_active(
-        gains, objective=-0.5, duals={1: 0.3, 3: 1e-3}, config=SolverConfig()
-    )
-    assert active == (1, 2, 3)
     # fallback: nothing within band -> argmax
     active = detect_active(gains, objective=0.5, config=SolverConfig())
     assert active == (2,)
@@ -231,16 +226,16 @@ def _planted_table(seed: int, models: int, tasks: int, copies: int = 2) -> Score
 
 
 def _counting_solves(monkeypatch) -> list[int]:
-    """Wrap the engine's direct HiGHS solve; returns the list of column
-    counts passed, one entry per stage-LP solve."""
+    """Wrap the engine's stage-LP solve; returns the list of column counts
+    passed, one entry per stage-LP solve."""
     columns: list[int] = []
-    original = devrating.rating._solve_highs
+    original = devrating.rating._stage_lp
 
-    def counting(highs, rows, *args):
-        columns.append(rows.shape[1])
-        return original(highs, rows, *args)
+    def counting(highs, lp_rows, *args):
+        columns.append(lp_rows.shape[1])
+        return original(highs, lp_rows, *args)
 
-    monkeypatch.setattr(devrating.rating, "_solve_highs", counting)
+    monkeypatch.setattr(devrating.rating, "_stage_lp", counting)
     return columns
 
 
@@ -387,7 +382,7 @@ def _linprog_stage_lp(lp_rows, unfrozen, frozen_rows, frozen_vals):
         method="highs",
     )
     assert res.status == 0
-    return res.x[:-1], float(res.fun), -np.asarray(res.ineqlin.marginals), np.asarray(res.eqlin.marginals)
+    return res.x[:-1], float(res.fun), np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
 
 
 def test_direct_stage_lp_matches_linprog(monkeypatch):
@@ -400,11 +395,6 @@ def test_direct_stage_lp_matches_linprog(monkeypatch):
     widths = [lp[0].shape[1] for lp in lps]
     assert len(set(widths[: widths.index(meta.num_joints + 1)])) > 1  # a pricing re-solve on the table
     assert any(lp[2].size for lp in lps)  # stages with pins
-
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("the direct solve fell back to linprog")
-
-    monkeypatch.setattr(devrating.rating, "linprog", no_fallback)
     highs = devrating.rating._new_highs()
     for lp in lps:
         direct = devrating.rating._stage_lp(highs, *lp)
@@ -412,57 +402,53 @@ def test_direct_stage_lp_matches_linprog(monkeypatch):
         assert [np.asarray(v).tobytes() for v in direct] == [np.asarray(v).tobytes() for v in expected]
 
 
-def test_infeasible_direct_attempt_falls_back_to_linprog(monkeypatch):
-    games = [biased_shapley(), random_game(np.random.default_rng(5), (3, 3)), game_from_table_3p(_planted_table(31, 12, 4))]
-    direct = [deviation_rating(g) for g in games]
-    calls = []
-    original = devrating.rating.linprog
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return original(*args, **kwargs)
-
-    infeasible = devrating.rating.HighsModelStatus.kInfeasible
-    monkeypatch.setattr(devrating.rating, "_solve_highs", lambda *args: (infeasible, None))
-    monkeypatch.setattr(devrating.rating, "linprog", counting)
-    for g, want in zip(games, direct):
-        res = deviation_rating(g)
-        assert _freeze_sets(res) == _freeze_sets(want)
-        for p in range(g.num_players):
-            assert np.max(np.abs(res.ratings[p] - want.ratings[p])) <= 1e-9
-    assert calls and set(calls) == {"highs"}
-
-
 def test_direct_attempt_failing_the_residual_check_raises(monkeypatch):
-    original = devrating.rating._solve_highs
+    original = devrating.rating._new_highs
 
-    def off_by_1e3(highs, rows, num_ub, b_eq):
-        # every equality row misses its right-hand side by 1e-3
-        status, (x, objective, activity, row_dual) = original(highs, rows, num_ub, b_eq)
-        activity[num_ub:] += 1e-3
-        return status, (x, objective, activity, row_dual)
+    class OffBy1e3:
+        """A solver whose reported row activities all miss by 1e-3."""
 
-    monkeypatch.setattr(devrating.rating, "_solve_highs", off_by_1e3)
+        def __init__(self):
+            self._highs = original()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def getSolution(self):
+            solution = self._highs.getSolution()
+            solution.row_value = [v + 1e-3 for v in solution.row_value]
+            return solution
+
+    monkeypatch.setattr(devrating.rating, "_new_highs", OffBy1e3)
     with pytest.raises(RatingError, match="misses its constraints") as err:
         deviation_rating(prisoners_dilemma())
-    assert (err.value.model_status, err.value.attempts) == ("Optimal", 1)
-    assert "HiGHS model status 'Optimal', solver attempts: 1" in str(err.value)
+    assert err.value.model_status == "Optimal"
+    assert "HiGHS model status 'Optimal'" in str(err.value)
 
 
-def test_failed_ladder_reports_model_status_and_attempts(monkeypatch):
-    infeasible = devrating.rating.HighsModelStatus.kInfeasible
-    original = devrating.rating.linprog
-
-    def negative_mass(*args, b_eq, **kwargs):
-        # no nonnegative distribution sums to -1
-        return original(*args, b_eq=np.append(-1.0, b_eq[1:]), **kwargs)
-
-    monkeypatch.setattr(devrating.rating, "_solve_highs", lambda *args: (infeasible, None))
-    monkeypatch.setattr(devrating.rating, "linprog", negative_mass)
+def test_infeasible_stage_lp_reports_model_status_and_pins():
+    # row 0 of the prisoner's dilemma has no positive gain, so no distribution meets it pinned at 1e3
+    values = cce_constraint_matrix(prisoners_dilemma()).values
+    lp_rows = devrating.rating._lp_rows(values)
     with pytest.raises(RatingInfeasibleError) as err:
-        deviation_rating(prisoners_dilemma())
-    assert (err.value.model_status, err.value.attempts, err.value.frozen) == ("Infeasible", 3, {})
-    assert "HiGHS model status 'Infeasible', solver attempts: 3" in str(err.value)
+        devrating.rating._stage_lp(devrating.rating._new_highs(), lp_rows, np.arange(1, 4), np.array([0]), np.array([1e3]))
+    assert (err.value.model_status, err.value.frozen) == ("Infeasible", {0: 1e3})
+    assert "HiGHS model status 'Infeasible'" in str(err.value)
+
+
+def test_non_optimal_stage_lp_raises_with_model_status(monkeypatch):
+    original = devrating.rating._new_highs
+
+    def no_iterations():
+        highs = original()
+        highs.setOptionValue("simplex_iteration_limit", 0)
+        return highs
+
+    monkeypatch.setattr(devrating.rating, "_new_highs", no_iterations)
+    with pytest.raises(RatingError, match="Iteration limit reached") as err:
+        deviation_rating(game_from_table_3p(_planted_table(31, 12, 4)))
+    assert not isinstance(err.value, RatingInfeasibleError)
+    assert err.value.model_status == "Iteration limit reached"
 
 
 def test_missing_highs_bindings_name_the_required_scipy():
