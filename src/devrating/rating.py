@@ -266,7 +266,8 @@ def _stage_lp(highs: _Highs, lp_rows: np.ndarray, unfrozen: np.ndarray, frozen_r
     matrix.value_ = rows[index, cols].tolist()
     if highs.passModel(lp) == HighsStatus.kError:
         status = HighsModelStatus.kModelError
-    elif highs.run() == HighsStatus.kError:
+    elif highs.run() == HighsStatus.kError and highs.getModelStatus() == HighsModelStatus.kOptimal:
+        # a failed run never counts as a solution
         status = HighsModelStatus.kSolveError
     else:
         status = highs.getModelStatus()
@@ -319,7 +320,7 @@ def _sanitize(sigma_raw: np.ndarray) -> np.ndarray:
     return sigma / total
 
 
-def detect_active(row_gains: np.ndarray, objective: float, config: SolverConfig = SolverConfig(), frozen: frozenset | set = frozenset()) -> tuple[int, ...]:
+def detect_active(row_gains: np.ndarray, objective: float, *, config: SolverConfig = SolverConfig(), frozen: frozenset | set = frozenset()) -> tuple[int, ...]:
     """Rows to freeze after a stage: every unfrozen row whose gain lies
     within ``active_tol`` of the objective; falls back to the argmax row
     so at least one row always freezes.  Ties freeze together, which is
@@ -449,7 +450,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
             # every distribution that meets the pins gives each unfrozen row
             # the same gain, so the gains of the last LP solution stand for all
             objective = float(gains[unfrozen].max())
-            active = detect_active(gains, objective, config, frozenset(frozen))
+            active = detect_active(gains, objective, config=config, frozen=frozenset(frozen))
         else:
             frozen_rows = np.array(basis.rows, dtype=int)
             frozen_vals = ratings[frozen_rows] if frozen_rows.size else np.empty(0)
@@ -468,7 +469,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
             sigma = np.zeros(num_joints)
             sigma[working] = _sanitize(sigma_raw)
             gains = values @ sigma
-            active = detect_active(gains, objective, config, frozenset(frozen))
+            active = detect_active(gains, objective, config=config, frozen=frozenset(frozen))
             for i in active:
                 basis.try_add(i, values[i])
         ratings[list(active)] = gains[list(active)]

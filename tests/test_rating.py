@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 
 import devrating.improve
 import devrating.rating
@@ -147,7 +148,7 @@ def test_scale_invariance_of_normalized_solver():
 
 def test_stage_budget_error(monkeypatch):
     # a stage that freezes nothing exhausts the budget of one stage per row
-    monkeypatch.setattr(devrating.rating, "detect_active", lambda *args: ())
+    monkeypatch.setattr(devrating.rating, "detect_active", lambda *args, **kwargs: ())
     g = random_game(np.random.default_rng(2), (3, 3))
     with pytest.raises(StageBudgetError):
         deviation_rating(g)
@@ -406,7 +407,9 @@ def test_direct_attempt_failing_the_residual_check_raises(monkeypatch):
     original = devrating.rating._new_highs
 
     class OffBy1e3:
-        """A solver whose reported row activities all miss by 1e-3."""
+        """A solver whose last reported row activity misses by 1e-3; the
+        last row of a stage LP is always an equality row (the simplex row
+        or a pin), so only the equality-residual check can catch it."""
 
         def __init__(self):
             self._highs = original()
@@ -416,7 +419,7 @@ def test_direct_attempt_failing_the_residual_check_raises(monkeypatch):
 
         def getSolution(self):
             solution = self._highs.getSolution()
-            solution.row_value = [v + 1e-3 for v in solution.row_value]
+            solution.row_value = [*solution.row_value[:-1], solution.row_value[-1] + 1e-3]
             return solution
 
     monkeypatch.setattr(devrating.rating, "_new_highs", OffBy1e3)
@@ -449,6 +452,35 @@ def test_non_optimal_stage_lp_raises_with_model_status(monkeypatch):
         deviation_rating(game_from_table_3p(_planted_table(31, 12, 4)))
     assert not isinstance(err.value, RatingInfeasibleError)
     assert err.value.model_status == "Iteration limit reached"
+
+
+@pytest.mark.parametrize(
+    "reported, expected",
+    [(HighsModelStatus.kPostsolveError, "Postsolve error"), (HighsModelStatus.kOptimal, "Solve error")],
+)
+def test_failed_run_raises_with_model_status(monkeypatch, reported, expected):
+    # a run that returns kError keeps HiGHS's own model status, and never counts as optimal
+    original = devrating.rating._new_highs
+
+    class FailedRun:
+        def __init__(self):
+            self._highs = original()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def run(self):
+            self._highs.run()
+            return HighsStatus.kError
+
+        def getModelStatus(self):
+            return reported
+
+    monkeypatch.setattr(devrating.rating, "_new_highs", FailedRun)
+    with pytest.raises(RatingError) as err:
+        deviation_rating(prisoners_dilemma())
+    assert not isinstance(err.value, RatingInfeasibleError)
+    assert err.value.model_status == expected
 
 
 def test_missing_highs_bindings_name_the_required_scipy():
