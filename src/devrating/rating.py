@@ -7,56 +7,70 @@ joint-distribution simplex:
 
     minimize   t
     subject to A_u @ sigma <= t          (rows not yet frozen)
-               A_f @ sigma == r_f        (rows frozen at earlier stages)
+               A_f @ sigma <= r_f        (rows frozen at earlier stages)
                sigma in the simplex
 
-Rows whose gain reaches the stage optimum (within ``active_tol``) are
-frozen at their achieved gain, so the current solution stays feasible
-for every later stage and stage objectives never increase.  Every stage
-freezes at least one row, hence at most sum_p |A_p| stages run.  Rows
-that are identically zero (e.g. a player with a single strategy) are
-frozen at 0 up front; their pinned equations are vacuous, so this
-changes nothing except the stage count.
+A stage freezes the rows that are tight at every optimum of its LP, at
+their gain at the solution found, so stage objectives never increase and
+the rating does not depend on which optimal vertex the solver returns.
+Since a frozen row is tight on the whole optimal face, ``<= r_f`` admits
+the same later optima as ``== r_f`` would, and unlike equations it keeps
+the previous solution's basis usable.  The candidates are the rows whose
+gain is within ``active_tol`` of the optimum t*.  A candidate with a
+nonzero row dual is tight at every optimum by complementary slackness.
+The rest are tested on the optimal face (t fixed at t*) by minimizing
+the sum of their gains: each whose gain there is below t* - ``active_tol``
+is released, and the rest are tested again until none is released.  The
+duals of the unfrozen rows sum to -1 (t has cost 1 and reduced cost 0),
+so some candidate has a nonzero dual: every stage freezes at least one
+row, hence at most sum_p |A_p| stages run, and a sole candidate freezes
+with no further LP.  Rows that are identically zero (e.g. a player with
+a single strategy) are frozen at 0 up front; their rows are vacuous, so
+this changes nothing except the stage count.
 
 Each stage LP has one row per (player, strategy) but one column per
 joint profile, so it is solved over a working set of joint columns (a
 restricted master LP).  The set starts as the ``WORKING_SET_PER_ROW``
 times num_rows joints whose largest constraint value is smallest.  After
-each solve every joint is priced with one product of the LP duals (of the
-unfrozen rows, the pins and the simplex row) with the constraint matrix;
-up to ``PRICING_BATCH_PER_ROW`` times num_rows joints whose reduced cost
-is below ``-PRICING_TOL`` join the set and the LP is solved again.  The
-stage ends when no joint outside the set prices negative, so its
-optimum is that of the LP over all joints.  The set only grows, so the
-previous stage's solution stays feasible for the pins.  A game with no
+each solve every joint is priced with one product of the row duals with
+the constraint matrix; up to ``PRICING_BATCH_PER_ROW`` times num_rows
+joints whose reduced cost is below ``-PRICING_TOL`` join the set and the
+LP is solved again.  A solve ends when no joint outside the set prices
+negative, so its optimum is that of the LP over all joints.  The set only
+grows, so the previous stage's solution stays feasible.  A game with no
 more joints than the initial width is solved over every joint at once.
 
-A stage needs no LP once the pins fix every unfrozen row.  The frozen
-rows that enter the LP as pins are kept as an orthonormal basis, with
-the simplex row orthogonalized against it.  An unfrozen row that lies in
-the span of the pins and the simplex row has the same gain at every
-distribution that meets the pins.  How far its gain can move is bounded
-by the max minus min of its residual outside that span.  When that bound
-is at most ``FIXED_GAIN_TOL`` times ``active_tol`` for every unfrozen
-row, the remaining stages freeze rows from the gains at the last LP
-solution, with no further LP.  Such stages still count as stages and get
-freeze records.  This is common because constraint rows have far lower
-rank than their count: a row of a score-table game depends on the joint
-only through the task marginal, and a 16-row 8×8 meta-game of a 3×3 game
-has rank 6.
+A stage needs no LP once the frozen rows fix every unfrozen row.  The
+frozen rows of LP stages (the pins) are kept as an orthonormal basis,
+with the simplex row orthogonalized against it.  An unfrozen row that
+lies in the span of the pins and the simplex row has the same gain at
+every distribution that meets the pins.  How far its gain can move is
+bounded by the max minus min of its residual outside that span.  When
+that bound is at most ``FIXED_GAIN_TOL`` times ``active_tol`` for every
+unfrozen row, the remaining stages freeze rows from the gains at the
+last LP solution, with no further LP.  Such stages still count as stages
+and get freeze records.  This is common because constraint rows have far
+lower rank than their count: a row of a score-table game depends on the
+joint only through the task marginal, and a 16-row 8×8 meta-game of a
+3×3 game has rank 6.
 
-Each stage LP is passed once to one HiGHS solver object per rating, as
-the same model scipy's ``method="highs"`` LP wrapper would build, so it
-skips scipy's per-call option parsing.  A solve that is not optimal, or
-whose solution misses its constraints, raises a typed ``RatingError``.
+Every LP of a rating is solved on one HiGHS model, changed in place:
+pricing adds columns, freezing a row changes its coefficient on t and
+its bound, and the tightness test changes the costs and the bounds of t.
+HiGHS keeps its basis across these changes, so only the first solve
+presolves and every later one starts from the previous optimum.  A solve
+that is not optimal, or whose solution misses its constraints, raises a
+typed ``RatingError``.
 
 Constraints are divided by the game's payoff spread before solving and
 results are scaled back; the factor is global, so exact cross-player ties
 survive.  ``rate_reduced`` runs the same loop on the constraint system
 with duplicate joint columns merged.
 
-Ratings are invariant to cloning, mixing, payoff offsets, and strategy
-relabeling, and never exceed 0.
+Ratings are invariant to cloning, payoff offsets, and strategy
+relabeling, and never exceed 0.  They are invariant to mixing on generic
+games; with tied payoffs, adding a mixture can change which rows are
+tight at every optimum, and so the ratings.
 """
 from __future__ import annotations
 
@@ -70,11 +84,8 @@ from scipy.optimize import linprog  # noqa: F401  perfbench/tracing.py raises Tr
 try:
     from scipy.optimize._highspy._core import (
         HighsDebugLevel,
-        HighsLp,
         HighsModelStatus,
-        HighsOptions,
         HighsStatus,
-        MatrixFormat,
         _Highs,
         kHighsInf,
         simplex_constants,
@@ -141,11 +152,11 @@ class RatingError(Exception):
 
 
 class RatingInfeasibleError(RatingError):
-    """A stage LP with pinned constraints reported infeasibility.
+    """A stage LP with frozen rows reported infeasibility.
 
-    Pinned values are gains achieved by the previous stage's solution, so
+    Frozen bounds are gains achieved by an earlier stage's solution, so
     this indicates solver failure rather than a genuinely empty system.
-    ``frozen`` maps each pinned row to its pinned value.
+    ``frozen`` maps each frozen row to its bound.
     """
 
     def __init__(self, message: str, frozen: dict, model_status: str | None = None):
@@ -204,100 +215,164 @@ class RatingResult:
         }
 
 
-def _lp_rows(values: np.ndarray) -> np.ndarray:
-    """Every row a stage LP can use, over the columns (sigma, t): the
-    constraint rows with coefficient -1 on t, the simplex row, then the
-    constraint rows again with 0 on t (the pins).  ``values`` holds the
-    working-set columns of the constraint matrix; the block is rebuilt
-    when the set grows, and each solve takes its A_ub and A_eq as row
-    slices of it."""
-    num_rows = values.shape[0]
-    block = np.zeros((2 * num_rows + 1, values.shape[1] + 1))
-    block[:num_rows, :-1] = values
-    block[:num_rows, -1] = -1.0
-    block[num_rows, :-1] = 1.0
-    block[num_rows + 1 :, :-1] = values
-    return block
-
-
 def _new_highs() -> _Highs:
     """A HiGHS solver with the options scipy's ``method="highs"`` sets."""
     highs = _Highs()
-    options = HighsOptions()
-    options.presolve = "on"
-    options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
-    options.log_to_console = False
-    options.output_flag = False
-    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    highs.passOptions(options)
+    # one call per option costs less than building a HighsOptions
+    highs.setOptionValue("presolve", "on")
+    highs.setOptionValue("highs_debug_level", int(HighsDebugLevel.kHighsDebugLevelNone))
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual))
     return highs
 
 
-def _stage_lp(highs: _Highs, lp_rows: np.ndarray, unfrozen: np.ndarray, frozen_rows: np.ndarray, frozen_vals: np.ndarray):
-    """Minimize t subject to the ``unfrozen`` rows of ``_lp_rows`` being
-    <= 0, the simplex row equal to 1 and the pins of ``frozen_rows`` equal
-    to ``frozen_vals``, with every column but t nonnegative.  HiGHS gets
-    the model that scipy's ``method="highs"`` builds from the same arrays,
-    so it returns the same vertex.  Returns (raw sigma, objective,
-    row duals in the order unfrozen rows, simplex row, pins)."""
-    num_rows = (lp_rows.shape[0] - 1) // 2
-    num_ub = unfrozen.size
-    rows = lp_rows[np.concatenate((unfrozen, [num_rows], num_rows + 1 + frozen_rows))]
-    b_eq = np.append(1.0, frozen_vals)
-    m, n = rows.shape
-    # every vector but the cost converts to HiGHS faster from a list
-    lp = HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = m
-    lp.col_cost_ = np.append(np.zeros(n - 1), 1.0)
-    lp.col_lower_ = [0.0] * (n - 1) + [-kHighsInf]
-    lp.col_upper_ = [kHighsInf] * n
-    lp.row_lower_ = [-kHighsInf] * num_ub + b_eq.tolist()
-    lp.row_upper_ = [0.0] * num_ub + b_eq.tolist()
-    # compressed columns with zeros dropped and row indices sorted, as
-    # scipy.sparse.csc_array builds them from a dense array
-    cols, index = np.nonzero(rows.T)
-    matrix = lp.a_matrix_
-    matrix.format_ = MatrixFormat.kColwise
-    matrix.num_col_ = n
-    matrix.num_row_ = m
-    matrix.start_ = np.append(0, np.cumsum(np.bincount(cols, minlength=n))).tolist()
-    matrix.index_ = index.tolist()
-    matrix.value_ = rows[index, cols].tolist()
-    if highs.passModel(lp) == HighsStatus.kError:
-        status = HighsModelStatus.kModelError
-    elif highs.run() == HighsStatus.kError and highs.getModelStatus() == HighsModelStatus.kOptimal:
-        # a failed run never counts as a solution
-        status = HighsModelStatus.kSolveError
-    else:
-        status = highs.getModelStatus()
-    model_status = highs.modelStatusToString(status)
-    if status == HighsModelStatus.kInfeasible:
-        raise RatingInfeasibleError(
-            f"stage LP infeasible with {frozen_rows.size} pinned rows",
-            {int(r): float(v) for r, v in zip(frozen_rows, frozen_vals)},
-            model_status,
-        )
-    if status != HighsModelStatus.kOptimal:
-        raise RatingError(f"stage LP failed with {frozen_rows.size} pinned rows", model_status)
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    objective = highs.getInfo().objective_function_value
-    slack = np.append(np.zeros(num_ub), b_eq) - np.array(solution.row_value)
-    if (
-        np.isnan(x).any()
-        or np.isnan(objective)
-        or np.isnan(slack).any()
-        or (x[:-1] < -RESIDUAL_TOL).any()
-        or (slack[:num_ub] < -RESIDUAL_TOL).any()
-        or (np.abs(slack[num_ub:]) > RESIDUAL_TOL).any()
-    ):
-        raise RatingError(
-            f"stage LP solution with {frozen_rows.size} pinned rows misses its "
-            f"constraints by more than {RESIDUAL_TOL:.2e}",
-            model_status,
-        )
-    return x[:-1], float(objective), np.array(solution.row_dual)
+class _StageModel:
+    """The one HiGHS model of a rating, changed in place between solves so
+    that HiGHS keeps its basis.
+
+    Column 0 is t and the others are the ``working`` joints, in the order
+    they joined.  Row i is constraint row i, ``values[i] @ sigma - t <= 0``
+    while unfrozen and ``values[i] @ sigma <= r`` once frozen at r; the
+    last row is the simplex row.  The cost of t is 1 and the cost of a
+    joint column is ``weights @ values`` at that joint: zero for a stage
+    LP, the indicator of the rows whose sum ``tight_rows`` minimizes."""
+
+    def __init__(self, values: np.ndarray, working: np.ndarray):
+        num_rows = values.shape[0]
+        self._values = values
+        self._highs = _new_highs()
+        self._weights = np.zeros(num_rows)
+        self._upper = np.zeros(num_rows)
+        self.working = np.empty(0, dtype=int)
+        self.frozen: dict[int, float] = {}
+        self._check(self._highs.addRows(
+            num_rows + 1,
+            np.append(np.full(num_rows, -kHighsInf), 1.0),
+            np.append(np.zeros(num_rows), 1.0),
+            0,
+            np.zeros(num_rows + 1, dtype=np.int32),
+            np.empty(0, dtype=np.int32),
+            np.empty(0),
+        ))
+        self._check(self._highs.addCols(
+            1, np.ones(1), np.full(1, -kHighsInf), np.full(1, kHighsInf),
+            num_rows, np.zeros(1, dtype=np.int32), np.arange(num_rows, dtype=np.int32), np.full(num_rows, -1.0),
+        ))
+        self._add(working)
+
+    def _check(self, status: HighsStatus) -> None:
+        if status == HighsStatus.kError:
+            raise RatingError(
+                "HiGHS rejected a change to the stage LP",
+                self._highs.modelStatusToString(HighsModelStatus.kModelError),
+            )
+
+    def _add(self, joints: np.ndarray) -> None:
+        """Append ``joints`` as columns: their constraint values and a 1 in
+        the simplex row, compressed with zeros dropped."""
+        block = np.vstack((self._values[:, joints], np.ones(joints.size)))
+        cols, index = np.nonzero(block.T)
+        self._check(self._highs.addCols(
+            joints.size,
+            self._weights @ block[:-1],
+            np.zeros(joints.size),
+            np.full(joints.size, kHighsInf),
+            index.size,
+            np.searchsorted(cols, np.arange(joints.size)).astype(np.int32),
+            index.astype(np.int32),
+            block[index, cols],
+        ))
+        self.working = np.concatenate((self.working, joints))
+
+    def _set_weights(self, weights: np.ndarray) -> None:
+        self._weights = weights
+        size = self.working.size
+        self._check(self._highs.changeColsCost(
+            size, np.arange(1, size + 1, dtype=np.int32), weights @ self._values[:, self.working]
+        ))
+
+    def freeze(self, rows, bounds) -> None:
+        """Turn each of ``rows`` into ``values[i] @ sigma <= bound``."""
+        for i, bound in zip(rows, bounds):
+            self._highs.changeCoeff(int(i), 0, 0.0)
+            self._highs.changeRowBounds(int(i), -kHighsInf, float(bound))
+            self.frozen[int(i)] = self._upper[i] = float(bound)
+
+    def _run(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """Solve the model as it stands.  Returns (raw sigma over the
+        working set, t, row duals in row order); t is the optimum of a
+        stage LP, whose only cost is on t."""
+        highs = self._highs
+        if highs.run() == HighsStatus.kError and highs.getModelStatus() == HighsModelStatus.kOptimal:
+            # a failed run never counts as a solution
+            status = HighsModelStatus.kSolveError
+        else:
+            status = highs.getModelStatus()
+        model_status = highs.modelStatusToString(status)
+        if status == HighsModelStatus.kInfeasible:
+            raise RatingInfeasibleError(
+                f"stage LP infeasible with {len(self.frozen)} frozen rows", dict(self.frozen), model_status
+            )
+        if status != HighsModelStatus.kOptimal:
+            raise RatingError(f"stage LP failed with {len(self.frozen)} frozen rows", model_status)
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        activity = np.array(solution.row_value)
+        if (
+            np.isnan(x).any()
+            or np.isnan(activity).any()
+            or (x[1:] < -RESIDUAL_TOL).any()
+            or (activity[:-1] - self._upper > RESIDUAL_TOL).any()
+            or abs(activity[-1] - 1.0) > RESIDUAL_TOL
+        ):
+            raise RatingError(
+                f"stage LP solution with {len(self.frozen)} frozen rows misses its "
+                f"constraints by more than {RESIDUAL_TOL:.2e}",
+                model_status,
+            )
+        return x[1:], float(x[0]), np.array(solution.row_dual)
+
+    def solve(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """Solve, adding the joints that price negative until none does, so
+        the optimum is that of the LP over every joint.  Returns what
+        ``_run`` returns for the last solve."""
+        while True:
+            x, objective, row_dual = self._run()
+            if self.working.size == self._values.shape[1]:
+                return x, objective, row_dual
+            entering = _entering_joints(self._values, row_dual[:-1] - self._weights, row_dual[-1], self.working)
+            if not entering.size:
+                return x, objective, row_dual
+            self._add(entering)
+
+    def tight_rows(self, band: Sequence[int], objective: float, row_dual: np.ndarray, tol: float) -> tuple[int, ...]:
+        """The rows of ``band`` that are tight at every optimum of the stage
+        LP just solved, whose optimum is ``objective`` and row duals
+        ``row_dual``.  A row with a nonzero dual is, by complementary
+        slackness; a band of one row always holds such a row.  The others
+        are tested by minimizing their sum over the stage's optimal face
+        (t fixed at the optimum); each whose gain there is below
+        ``objective - tol`` is released, and the rest are tested again
+        until none is released."""
+        band = np.array(band, dtype=int)
+        # a row's dual is the reduced cost of its slack
+        certain = np.abs(row_dual[band]) > PRICING_TOL
+        candidates = band[~certain]
+        if candidates.size:
+            self._highs.changeColBounds(0, objective, objective)
+            while candidates.size:
+                weights = np.zeros(self._values.shape[0])
+                weights[candidates] = 1.0
+                self._set_weights(weights)
+                x, _, _ = self.solve()
+                tight = self._values[candidates][:, self.working] @ x >= objective - tol
+                if tight.all():
+                    break
+                candidates = candidates[tight]
+            self._set_weights(np.zeros(self._values.shape[0]))
+            self._highs.changeColBounds(0, -kHighsInf, kHighsInf)
+        return tuple(sorted(band[certain].tolist() + candidates.tolist()))
 
 
 def _entering_joints(values: np.ndarray, row_prices: np.ndarray, simplex_price: float, working: np.ndarray) -> np.ndarray:
@@ -321,10 +396,10 @@ def _sanitize(sigma_raw: np.ndarray) -> np.ndarray:
 
 
 def detect_active(row_gains: np.ndarray, objective: float, *, config: SolverConfig = SolverConfig(), frozen: frozenset | set = frozenset()) -> tuple[int, ...]:
-    """Rows to freeze after a stage: every unfrozen row whose gain lies
-    within ``active_tol`` of the objective; falls back to the argmax row
-    so at least one row always freezes.  Ties freeze together, which is
-    what keeps exact duplicates (clones) at identical ratings."""
+    """The candidates to freeze after a stage: every unfrozen row whose
+    gain lies within ``active_tol`` of the objective, or else the argmax
+    row.  Ties are candidates together, which is what keeps exact
+    duplicates (clones) at identical ratings."""
     active = {
         i
         for i in range(row_gains.size)
@@ -337,20 +412,14 @@ def detect_active(row_gains: np.ndarray, objective: float, *, config: SolverConf
 
 
 class _PinBasis:
-    """Incrementally selected linearly independent subset of frozen rows,
-    kept as an orthonormal basis of their span.
+    """Incrementally selected linearly independent subset of the rows
+    frozen by LP stages (the pins), kept as an orthonormal basis of their
+    span, with the simplex direction orthogonalized against it.
 
-    A frozen row that lies in the span of already-pinned rows carries no
-    new information: its gain is a fixed linear combination of the pinned
-    gains at every joint distribution.  Keeping such rows as explicit LP
-    equalities only injects the accumulated floating-point drift between
-    stages, which can make the solver reject an (exactly redundant) pin
-    system as infeasible.  Only basis rows are therefore passed to the
-    stage LPs.
-
-    The basis is preallocated for ``capacity`` rows, and it keeps the
-    simplex direction orthogonalized against the pins, so that ``fixes``
-    can tell when the pins leave no gain free to move."""
+    It serves only ``fixes``, which tells when the pins leave no gain free
+    to move so that the remaining stages need no LP; every frozen row,
+    in the basis or not, stays in the stage LPs as a ``<=`` row.  The
+    basis is preallocated for ``capacity`` rows."""
 
     def __init__(self, capacity: int, num_joints: int):
         self._q = np.empty((capacity, num_joints))
@@ -419,64 +488,47 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
     values = matrix.values / factor
     num_rows, num_joints = values.shape
     labels = [(game.players[p], game.strategies[p][i]) for p, i in matrix.row_keys]
-    ratings = np.full(num_rows, np.nan)
-    frozen: set[int] = set()
     basis = _PinBasis(num_rows, num_joints)
     log: list[FreezeRecord] = []
 
     def record(stage: int, rows: tuple[int, ...], objective: float) -> None:
         log.append(FreezeRecord(stage, tuple(labels[i] for i in rows), objective * factor))
 
+    # the joints whose largest constraint value is smallest, in column order
+    model = _StageModel(values, np.sort(np.argsort(values.max(axis=0), kind="stable")[: WORKING_SET_PER_ROW * num_rows]))
     zero_rows = tuple(int(i) for i in np.flatnonzero(~values.any(axis=1)))
     if zero_rows:
-        ratings[list(zero_rows)] = 0.0
-        frozen.update(zero_rows)
+        model.freeze(zero_rows, np.zeros(len(zero_rows)))
         record(0, zero_rows, 0.0)
 
-    # the joints whose largest constraint value is smallest, in column order
-    working = np.sort(np.argsort(values.max(axis=0), kind="stable")[: WORKING_SET_PER_ROW * num_rows])
-    lp_rows = _lp_rows(values[:, working])
     sigma = np.full(num_joints, 1.0 / num_joints)
-    highs = _new_highs()
     stage = 0
-    while len(frozen) < num_rows:
+    while len(model.frozen) < num_rows:
         stage += 1
         if stage > num_rows:
             raise StageBudgetError(
-                f"exceeded stage budget {num_rows} with {num_rows - len(frozen)} rows left"
+                f"exceeded stage budget {num_rows} with {num_rows - len(model.frozen)} rows left"
             )
+        frozen = frozenset(model.frozen)
         unfrozen = np.array(sorted(set(range(num_rows)) - frozen), dtype=int)
         if basis.rows and basis.fixes(values, unfrozen.tolist(), FIXED_GAIN_TOL * config.active_tol):
             # every distribution that meets the pins gives each unfrozen row
             # the same gain, so the gains of the last LP solution stand for all
             objective = float(gains[unfrozen].max())
-            active = detect_active(gains, objective, config=config, frozen=frozenset(frozen))
+            active = detect_active(gains, objective, config=config, frozen=frozen)
         else:
-            frozen_rows = np.array(basis.rows, dtype=int)
-            frozen_vals = ratings[frozen_rows] if frozen_rows.size else np.empty(0)
-            while True:
-                sigma_raw, objective, row_dual = _stage_lp(highs, lp_rows, unfrozen, frozen_rows, frozen_vals)
-                if working.size == num_joints:
-                    break
-                row_prices = np.zeros(num_rows)
-                row_prices[unfrozen] = row_dual[: unfrozen.size]
-                row_prices[frozen_rows] = row_dual[unfrozen.size + 1 :]
-                entering = _entering_joints(values, row_prices, row_dual[unfrozen.size], working)
-                if not entering.size:
-                    break
-                working = np.union1d(working, entering)
-                lp_rows = _lp_rows(values[:, working])
+            sigma_raw, objective, row_dual = model.solve()
             sigma = np.zeros(num_joints)
-            sigma[working] = _sanitize(sigma_raw)
+            sigma[model.working] = _sanitize(sigma_raw)
             gains = values @ sigma
-            active = detect_active(gains, objective, config=config, frozen=frozenset(frozen))
+            band = detect_active(gains, objective, config=config, frozen=frozen)
+            active = model.tight_rows(band, objective, row_dual, config.active_tol)
             for i in active:
                 basis.try_add(i, values[i])
-        ratings[list(active)] = gains[list(active)]
-        frozen.update(active)
+        model.freeze(active, gains[list(active)])
         record(stage, active, objective)
 
-    scaled = ratings * factor
+    scaled = np.array([model.frozen[i] for i in range(num_rows)]) * factor
     scaled.setflags(write=False)
     return RatingResult(
         players=game.players,

@@ -1,3 +1,5 @@
+import ast
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -5,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import devrating.improve
 import devrating.rating
 from devrating.cce import cce_constraint_matrix, verify_cce
-from devrating.games import build_game, clone_strategy, random_game
+from devrating.analysis import check_property
+from devrating.games import build_game, clone_strategy, mix_strategy, random_game
 from devrating.gamify import ScoreTable, game_from_table_3p
 from devrating.improve import LoopConfig, run_improvement_loop
 from devrating.rating import (
@@ -154,7 +157,6 @@ def test_stage_budget_error(monkeypatch):
         deviation_rating(g)
 
 
-@pytest.mark.xfail(strict=True, reason="freezing depends on the optimal vertex HiGHS returns on tied payoffs")
 def test_tied_payoff_witness_matches_oracle():
     game = build_game(
         ["p1", "p2"],
@@ -166,9 +168,46 @@ def test_tied_payoff_witness_matches_oracle():
     assert np.max(np.abs(ratings - expected)) <= 1e-8
 
 
+def test_discrete_games_match_oracle():
+    for k in range(30):
+        game = _discrete_game(k)
+        expected, _ = oracle_rating(game)
+        assert np.max(np.abs(np.concatenate(deviation_rating(game).ratings) - expected)) <= 1e-8, k
+
+
+def _tied_property_game(k: int):
+    """2-3 players with 2-3 strategies each and tied payoffs in -2..2."""
+    rng = np.random.default_rng(70_000 + k)
+    shape = tuple(int(n) for n in rng.integers(2, 4, size=int(rng.integers(2, 4))))
+    return _tied_game(rng, shape)
+
+
+@pytest.mark.parametrize("name", ["clone", "offset", "permutation"])
+def test_invariance_on_tied_payoffs(name):
+    failed = [k for k in range(150) if not check_property(_tied_property_game(k), name, deviation_rating, seed=k).passed]
+    assert failed == []
+
+
+def test_mixture_on_tied_payoffs_follows_the_oracle():
+    # Adding this mixture of player 2's strategies lowers player 1's
+    # rating of b by 0.1929 under the oracle's own rule, so the mixture
+    # property fails on this degenerate game for the rule, not the engine.
+    game = build_game(
+        ["p1", "p2"],
+        [["a", "b"], ["x", "y"]],
+        [np.array([[2.0, 0.0], [-2.0, 2.0]]), np.array([[1.0, -2.0], [-2.0, -2.0]])],
+    )
+    mixed = mix_strategy(game, 1, [0.1793, 0.8207])
+    expected = {}
+    for name, g in (("base", game), ("mixed", mixed)):
+        expected[name], _ = oracle_rating(g)
+        assert np.max(np.abs(np.concatenate(deviation_rating(g).ratings) - expected[name])) <= 1e-8
+    assert expected["base"][1] - expected["mixed"][1] == pytest.approx(0.1929, abs=1e-4)
+
+
 def test_infeasible_meta_game_rates(monkeypatch):
-    # HiGHS calls this meta-game's stage LP with 6 pins infeasible; its
-    # rows have rank 6, so that stage needs no LP
+    # HiGHS once called a stage LP of this meta-game with 6 frozen rows
+    # infeasible; its rows have rank 6, so that stage needs no LP
     rated = _recording_rater(monkeypatch)
     rng = np.random.default_rng((1, 0))
     config = LoopConfig(iterations=1, population_size=8, seed=int(rng.integers(2**31)))
@@ -202,8 +241,6 @@ def test_result_serialization_schema(tmp_path):
 
 
 def test_mixture_rating_is_weighted_average():
-    from devrating.games import mix_strategy
-
     g = random_game(np.random.default_rng(77), (3, 3))
     base = deviation_rating(g)
     w = np.array([0.2, 0.5, 0.3])
@@ -226,17 +263,33 @@ def _planted_table(seed: int, models: int, tasks: int, copies: int = 2) -> Score
     )
 
 
+def _wrap_highs(monkeypatch, **methods) -> None:
+    """Make every HiGHS solver the engine creates call
+    ``methods[name](highs, *args)`` in place of its own method ``name``."""
+    original = devrating.rating._new_highs
+
+    class Wrapped:
+        def __init__(self):
+            self._highs = original()
+
+        def __getattr__(self, name):
+            if name in methods:
+                return functools.partial(methods[name], self._highs)
+            return getattr(self._highs, name)
+
+    monkeypatch.setattr(devrating.rating, "_new_highs", Wrapped)
+
+
 def _counting_solves(monkeypatch) -> list[int]:
-    """Wrap the engine's stage-LP solve; returns the list of column counts
-    passed, one entry per stage-LP solve."""
+    """Count the engine's HiGHS runs; returns the list of the model's
+    column counts, one entry per run."""
     columns: list[int] = []
-    original = devrating.rating._stage_lp
 
-    def counting(highs, lp_rows, *args):
-        columns.append(lp_rows.shape[1])
-        return original(highs, lp_rows, *args)
+    def run(highs):
+        columns.append(highs.getNumCol())
+        return highs.run()
 
-    monkeypatch.setattr(devrating.rating, "_stage_lp", counting)
+    _wrap_highs(monkeypatch, run=run)
     return columns
 
 
@@ -264,6 +317,8 @@ def test_column_generation_matches_exact_lp(monkeypatch):
         game_from_table_3p(_planted_table(11, 12, 4)),
         game_from_table_3p(_planted_table(12, 16, 6)),
         *(random_game(np.random.default_rng(600 + k), (6, 6, 6)) for k in range(3)),
+        # tied payoffs: degenerate stage optima over 48 of 64 joints
+        *(_tied_game(np.random.default_rng((4444, k)), (4, 4, 4)) for k in range(60)),
     ]
     columns = _counting_solves(monkeypatch)
     working_set = [deviation_rating(games[0])]
@@ -278,12 +333,41 @@ def test_column_generation_matches_exact_lp(monkeypatch):
             assert np.max(np.abs(cg.ratings[p] - ex.ratings[p])) <= 1e-9
     monkeypatch.undo()
 
-    # games no wider than the working set take one full LP per stage
+    # games no wider than the working set solve every LP over every joint
     for g in (random_game(np.random.default_rng(3), (8, 8)), random_game(np.random.default_rng(4), (2, 2, 2))):
         columns = _counting_solves(monkeypatch)
-        res = deviation_rating(g)
-        assert columns == [g.num_joints + 1] * res.stage_count
+        deviation_rating(g)
+        assert set(columns) == {g.num_joints + 1}
         monkeypatch.undo()
+
+
+def test_warm_model_matches_cold_solves(monkeypatch):
+    rated = _recording_rater(monkeypatch)
+    run_improvement_loop(random_game(np.random.default_rng(8), (3, 3)), "deviation", LoopConfig(iterations=10, population_size=8, seed=5))
+    monkeypatch.undo()
+    games = [
+        *(game_from_table_3p(_planted_table(seed, 12, 4)) for seed in (31, 32)),
+        *(meta for meta, _ in rated),
+        *(_discrete_game(k) for k in range(30)),
+        *(_tied_game(np.random.default_rng((4444, k)), (4, 4, 4)) for k in range(20)),
+    ]
+    warm = [deviation_rating(g) for g in games]
+
+    def cold_run(highs):
+        # without a basis every run presolves and starts the simplex afresh
+        highs.clearSolver()
+        return highs.run()
+
+    _wrap_highs(monkeypatch, run=cold_run)
+    for g, w in zip(games, warm):
+        cold = deviation_rating(g)
+        assert _freeze_sets(cold) == _freeze_sets(w)
+        # a stage with no LP freezes gains of the last LP solution, which the
+        # pins fix only to this bound; warm and cold runs may end on
+        # different optimal vertices
+        tol = devrating.rating.FIXED_GAIN_TOL * SolverConfig().active_tol * g.payoff_spread()
+        for p in range(g.num_players):
+            assert np.max(np.abs(cold.ratings[p] - w.ratings[p])) <= tol
 
 
 def test_rate_reduced_matches_direct_on_working_set_path():
@@ -296,15 +380,19 @@ def test_rate_reduced_matches_direct_on_working_set_path():
                 assert np.max(np.abs(direct.ratings[p] - reduced.ratings[p])) <= 1e-9
 
 
-def _discrete_game(k: int):
-    """A small game with tied integer payoffs in -2..2."""
-    shape = [(2, 2), (2, 3), (2, 2, 2)][k % 3]
-    rng = np.random.default_rng((7070, k))
+def _tied_game(rng, shape):
+    """A game with integer payoffs drawn uniformly from -2..2, so that
+    payoffs tie and stage optima are degenerate."""
     return build_game(
         [f"p{i}" for i in range(len(shape))],
         [[f"s{j}" for j in range(n)] for n in shape],
         [rng.integers(-2, 3, size=shape).astype(float) for _ in shape],
     )
+
+
+def _discrete_game(k: int):
+    """A small game with tied integer payoffs in -2..2."""
+    return _tied_game(np.random.default_rng((7070, k)), [(2, 2), (2, 3), (2, 2, 2)][k % 3])
 
 
 def test_lp_free_stages_match_lp_path(monkeypatch):
@@ -315,11 +403,18 @@ def test_lp_free_stages_match_lp_path(monkeypatch):
     metas = [meta for meta, _ in rated]
     discrete = [_discrete_game(k) for k in range(30)]
     games = tables + metas + discrete
-    lp_calls, lp_free = [], []
+    fixes = devrating.rating._PinBasis.fixes
+    lp_free, skipped = [], []
     for g in games:
-        columns = _counting_solves(monkeypatch)
+        outcomes = []
+
+        def recording(self, *args):
+            outcomes.append(fixes(self, *args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(devrating.rating._PinBasis, "fixes", recording)
         lp_free.append(deviation_rating(g))
-        lp_calls.append(len(columns))
+        skipped.append(any(outcomes))  # a stage ran no LP
         monkeypatch.undo()
     monkeypatch.setattr(devrating.rating._PinBasis, "fixes", lambda self, *args: False)
     for g, free in zip(games, lp_free):
@@ -328,10 +423,9 @@ def test_lp_free_stages_match_lp_path(monkeypatch):
         assert free.stage_count == with_lp.stage_count
         for p in range(g.num_players):
             assert np.max(np.abs(free.ratings[p] - with_lp.ratings[p])) <= 1e-9
-    fewer = [calls < r.stage_count for calls, r in zip(lp_calls, lp_free)]
-    assert fewer[0]  # a table
-    assert any(fewer[len(tables) : len(tables) + len(metas)])  # a meta-game
-    assert any(fewer[len(tables) + len(metas) :])  # a discrete game
+    assert skipped[0]  # a table
+    assert any(skipped[len(tables) : len(tables) + len(metas)])  # a meta-game
+    assert any(skipped[len(tables) + len(metas) :])  # a discrete game
 
     # negative control: a row just outside the span of the pins is not fixed
     monkeypatch.undo()
@@ -348,42 +442,23 @@ def test_lp_free_stages_match_lp_path(monkeypatch):
     assert basis.fixes(values, [3], tol)
 
 
-def _captured_stage_lps(monkeypatch, games) -> list[tuple]:
-    """Rate ``games`` and return the arguments of every stage LP solved."""
-    captured = []
-    original = devrating.rating._stage_lp
-
-    def capturing(highs, *args):
-        captured.append(tuple(np.array(a) for a in args))
-        return original(highs, *args)
-
-    monkeypatch.setattr(devrating.rating, "_stage_lp", capturing)
-    for g in games:
-        deviation_rating(g)
-    monkeypatch.undo()
-    return captured
-
-
-def _linprog_stage_lp(lp_rows, unfrozen, frozen_rows, frozen_vals):
-    """The stage LP as ``linprog(method="highs")`` solves it."""
-    num_rows = (lp_rows.shape[0] - 1) // 2
-    n = lp_rows.shape[1]
-    cost = np.zeros(n)
-    cost[-1] = 1.0
-    bounds = np.zeros((n, 2))
-    bounds[:, 1] = np.inf
-    bounds[-1] = (-np.inf, np.inf)
+def _linprog_stage_one(game) -> float:
+    """The stage-1 optimum, min t subject to every nonzero constraint row
+    of ``game`` being <= t over the simplex, as ``linprog`` finds it."""
+    values = cce_constraint_matrix(game).values
+    values = values[values.any(axis=1)]
+    m, n = values.shape
     res = linprog(
-        cost,
-        A_ub=lp_rows[unfrozen],
-        b_ub=np.zeros(unfrozen.size),
-        A_eq=lp_rows[np.append(num_rows, num_rows + 1 + frozen_rows)],
-        b_eq=np.append(1.0, frozen_vals),
-        bounds=bounds,
+        np.append(np.zeros(n), 1.0),
+        A_ub=np.hstack((values, -np.ones((m, 1)))),
+        b_ub=np.zeros(m),
+        A_eq=np.append(np.ones(n), 0.0)[None],
+        b_eq=[1.0],
+        bounds=[(0, None)] * n + [(None, None)],
         method="highs",
     )
     assert res.status == 0
-    return res.x[:-1], float(res.fun), np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
+    return float(res.fun)
 
 
 def test_direct_stage_lp_matches_linprog(monkeypatch):
@@ -392,37 +467,25 @@ def test_direct_stage_lp_matches_linprog(monkeypatch):
     monkeypatch.undo()
     [(meta, _)] = rated
     table = game_from_table_3p(_planted_table(31, 12, 4))
-    lps = _captured_stage_lps(monkeypatch, [table, meta, *(_discrete_game(k) for k in range(6))])
-    widths = [lp[0].shape[1] for lp in lps]
-    assert len(set(widths[: widths.index(meta.num_joints + 1)])) > 1  # a pricing re-solve on the table
-    assert any(lp[2].size for lp in lps)  # stages with pins
-    highs = devrating.rating._new_highs()
-    for lp in lps:
-        direct = devrating.rating._stage_lp(highs, *lp)
-        expected = _linprog_stage_lp(*lp)
-        assert [np.asarray(v).tobytes() for v in direct] == [np.asarray(v).tobytes() for v in expected]
+    columns = _counting_solves(monkeypatch)
+    deviation_rating(table)
+    assert len(set(columns)) > 1  # a pricing re-solve on the table
+    monkeypatch.undo()
+    for g in [table, meta, *(_discrete_game(k) for k in range(6))]:
+        [objective] = [rec.objective for rec in deviation_rating(g).freeze_log if rec.stage == 1]
+        assert objective == pytest.approx(_linprog_stage_one(g), abs=1e-9 * g.payoff_spread())
 
 
 def test_direct_attempt_failing_the_residual_check_raises(monkeypatch):
-    original = devrating.rating._new_highs
+    def off_by_1e3(highs):
+        """The reported activity of the last row, the simplex row, misses
+        by 1e-3; it is an equality row, so only the equality-residual
+        check can catch it."""
+        solution = highs.getSolution()
+        solution.row_value = [*solution.row_value[:-1], solution.row_value[-1] + 1e-3]
+        return solution
 
-    class OffBy1e3:
-        """A solver whose last reported row activity misses by 1e-3; the
-        last row of a stage LP is always an equality row (the simplex row
-        or a pin), so only the equality-residual check can catch it."""
-
-        def __init__(self):
-            self._highs = original()
-
-        def __getattr__(self, name):
-            return getattr(self._highs, name)
-
-        def getSolution(self):
-            solution = self._highs.getSolution()
-            solution.row_value = [*solution.row_value[:-1], solution.row_value[-1] + 1e-3]
-            return solution
-
-    monkeypatch.setattr(devrating.rating, "_new_highs", OffBy1e3)
+    _wrap_highs(monkeypatch, getSolution=off_by_1e3)
     with pytest.raises(RatingError, match="misses its constraints") as err:
         deviation_rating(prisoners_dilemma())
     assert err.value.model_status == "Optimal"
@@ -430,12 +493,14 @@ def test_direct_attempt_failing_the_residual_check_raises(monkeypatch):
 
 
 def test_infeasible_stage_lp_reports_model_status_and_pins():
-    # row 0 of the prisoner's dilemma has no positive gain, so no distribution meets it pinned at 1e3
+    # no distribution meets row 0 of the prisoner's dilemma frozen below its smallest value
     values = cce_constraint_matrix(prisoners_dilemma()).values
-    lp_rows = devrating.rating._lp_rows(values)
+    model = devrating.rating._StageModel(values, np.arange(values.shape[1]))
+    bound = float(values[0].min()) - 1.0
+    model.freeze([0], [bound])
     with pytest.raises(RatingInfeasibleError) as err:
-        devrating.rating._stage_lp(devrating.rating._new_highs(), lp_rows, np.arange(1, 4), np.array([0]), np.array([1e3]))
-    assert (err.value.model_status, err.value.frozen) == ("Infeasible", {0: 1e3})
+        model.solve()
+    assert (err.value.model_status, err.value.frozen) == ("Infeasible", {0: bound})
     assert "HiGHS model status 'Infeasible'" in str(err.value)
 
 
@@ -460,27 +525,29 @@ def test_non_optimal_stage_lp_raises_with_model_status(monkeypatch):
 )
 def test_failed_run_raises_with_model_status(monkeypatch, reported, expected):
     # a run that returns kError keeps HiGHS's own model status, and never counts as optimal
-    original = devrating.rating._new_highs
+    def failed_run(highs):
+        highs.run()
+        return HighsStatus.kError
 
-    class FailedRun:
-        def __init__(self):
-            self._highs = original()
-
-        def __getattr__(self, name):
-            return getattr(self._highs, name)
-
-        def run(self):
-            self._highs.run()
-            return HighsStatus.kError
-
-        def getModelStatus(self):
-            return reported
-
-    monkeypatch.setattr(devrating.rating, "_new_highs", FailedRun)
+    _wrap_highs(monkeypatch, run=failed_run, getModelStatus=lambda highs: reported)
     with pytest.raises(RatingError) as err:
         deviation_rating(prisoners_dilemma())
     assert not isinstance(err.value, RatingInfeasibleError)
     assert err.value.model_status == expected
+
+
+def test_highs_binds_every_method_the_engine_calls():
+    # fails by name on a scipy whose HiGHS bindings lack a method the engine calls
+    tree = ast.parse(Path(devrating.rating.__file__).read_text(encoding="utf-8"))
+    called = {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and ast.unparse(node.func.value) in ("highs", "self._highs")
+    }
+    assert {"run", "addCols", "changeCoeff", "changeRowBounds", "changeColBounds", "changeColsCost", "getSolution"} <= called
+    assert [name for name in sorted(called) if not hasattr(_Highs, name)] == []
 
 
 def test_missing_highs_bindings_name_the_required_scipy():
