@@ -18,49 +18,66 @@ the same later optima as ``== r_f`` would, and unlike equations it keeps
 the previous solution's basis usable.  The candidates are the rows whose
 gain is within ``active_tol`` of the optimum t*.  A candidate with a
 nonzero row dual is tight at every optimum by complementary slackness.
-The rest are tested on the optimal face (t fixed at t*) by minimizing
-the sum of their gains: each whose gain there is below t* - ``active_tol``
-is released, and the rest are tested again until none is released.  The
-duals of the unfrozen rows sum to -1 (t has cost 1 and reduced cost 0),
-so some candidate has a nonzero dual: every stage freezes at least one
-row, hence at most sum_p |A_p| stages run, and a sole candidate freezes
-with no further LP.  Rows that are identically zero (e.g. a player with
-a single strategy) are frozen at 0 up front; their rows are vacuous, so
-this changes nothing except the stage count.
+So is a candidate that the pins and those rows fix (see below), as its
+gain is the same all over the optimal face: tightness is settled by this
+span test before any LP.  Only the rest are tested on the optimal face
+(t fixed at t*) by minimizing the sum of their gains: each whose gain
+there is below t* - ``active_tol`` is released, and the rest are tested
+again until none is released.  The duals of the unfrozen rows sum to -1
+(t has cost 1 and reduced cost 0), so some candidate has a nonzero dual:
+every stage freezes at least one row, hence at most sum_p |A_p| stages
+run, and a sole candidate freezes with no further LP.  Rows that are
+identically zero (e.g. a player with a single strategy) are frozen at 0
+up front; their rows are vacuous, so this changes nothing except the
+stage count.
 
 Each stage LP has one row per (player, strategy) but one column per
 joint profile, so it is solved over a working set of joint columns (a
 restricted master LP).  The set starts as the ``WORKING_SET_PER_ROW``
 times num_rows joints whose largest constraint value is smallest.  After
-each solve every joint is priced with one product of the row duals with
-the constraint matrix; up to ``PRICING_BATCH_PER_ROW`` times num_rows
-joints whose reduced cost is below ``-PRICING_TOL`` join the set and the
-LP is solved again.  A solve ends when no joint outside the set prices
-negative, so its optimum is that of the LP over all joints.  The set only
-grows, so the previous stage's solution stays feasible.  A game with no
-more joints than the initial width is solved over every joint at once.
+each solve every live joint is priced with one product of the row duals
+with the constraint matrix; up to ``PRICING_BATCH_PER_ROW`` times
+num_rows joints whose reduced cost is below ``-PRICING_TOL`` join the
+set and the LP is solved again.  A solve ends when no joint outside the
+set prices negative, so its optimum is that of the LP over all joints.
+The set only grows, so the previous stage's solution stays feasible.  A
+game with no more joints than the initial width is solved over every
+joint at once.
+
+The optima of each stage lie on the optimal face of the stage before it:
+a stage only adds ``<=`` rows at values the previous optimum reached,
+and its optimum never exceeds the previous one.  So a joint whose
+reduced cost at a stage LP's duals is above ``PRICING_TOL`` is 0 at
+every optimum of that stage and of every later one, by the same
+complementary slackness that makes a row with a nonzero dual tight.
+Such a joint retires for the rest of the rating: pricing skips it, and
+its working-set column, nonbasic at 0, is bounded above by 0, which
+keeps the basis valid.  Every later solve, tightness test and span test
+runs on the joints still live.
 
 A stage needs no LP once the frozen rows fix every unfrozen row.  The
-frozen rows of LP stages (the pins) are kept as an orthonormal basis,
-with the simplex row orthogonalized against it.  An unfrozen row that
+frozen rows of LP stages (the pins) are kept as an orthonormal basis on
+the live joints, with the simplex row orthogonalized against it.  It
+grows with the pins, and when joints retire it is rebuilt from the pins
+that stay independent on the joints still live.  An unfrozen row that
 lies in the span of the pins and the simplex row has the same gain at
-every distribution that meets the pins.  How far its gain can move is
-bounded by the max minus min of its residual outside that span.  When
-that bound is at most ``FIXED_GAIN_TOL`` times ``active_tol`` for every
-unfrozen row, the remaining stages freeze rows from the gains at the
-last LP solution, with no further LP.  Such stages still count as stages
-and get freeze records.  This is common because constraint rows have far
-lower rank than their count: a row of a score-table game depends on the
-joint only through the task marginal, and a 16-row 8×8 meta-game of a
-3×3 game has rank 6.
+every distribution on the live joints that meets the pins.  How far its
+gain can move is bounded by the max minus min of its residual outside
+that span.  When that bound is at most ``FIXED_GAIN_TOL`` times
+``active_tol`` for every unfrozen row, the remaining stages freeze rows
+from the gains at the last LP solution, with no further LP.  Such stages
+still count as stages and get freeze records.  This is common because
+constraint rows have far lower rank than their count: a row of a
+score-table game depends on the joint only through the task marginal,
+and a 16-row 8×8 meta-game of a 3×3 game has rank 6.
 
 Every LP of a rating is solved on one HiGHS model, changed in place:
-pricing adds columns, freezing a row changes its coefficient on t and
-its bound, and the tightness test changes the costs and the bounds of t.
-HiGHS keeps its basis across these changes, so only the first solve
-presolves and every later one starts from the previous optimum.  A solve
-that is not optimal, or whose solution misses its constraints, raises a
-typed ``RatingError``.
+pricing adds columns, retiring a joint bounds its column, freezing a row
+changes its coefficient on t and its bound, and the tightness test
+changes the costs and the bounds of t.  HiGHS keeps its basis across
+these changes, so only the first solve presolves and every later one
+starts from the previous optimum.  A solve that is not optimal, or whose
+solution misses its constraints, raises a typed ``RatingError``.
 
 Constraints are divided by the game's payoff spread before solving and
 results are scaled back; the factor is global, so exact cross-player ties
@@ -236,7 +253,9 @@ class _StageModel:
     while unfrozen and ``values[i] @ sigma <= r`` once frozen at r; the
     last row is the simplex row.  The cost of t is 1 and the cost of a
     joint column is ``weights @ values`` at that joint: zero for a stage
-    LP, the indicator of the rows whose sum ``tight_rows`` minimizes."""
+    LP, the indicator of the rows whose sum ``tight_rows`` minimizes.
+    ``live`` lists the joints not retired, in joint order; a retired
+    working-set column has upper bound 0."""
 
     def __init__(self, values: np.ndarray, working: np.ndarray):
         num_rows = values.shape[0]
@@ -245,6 +264,9 @@ class _StageModel:
         self._weights = np.zeros(num_rows)
         self._upper = np.zeros(num_rows)
         self.working = np.empty(0, dtype=int)
+        self.live = np.arange(values.shape[1])
+        self._live_values = values
+        self._column = np.zeros(values.shape[1], dtype=np.int32)  # model column of a working joint, else 0
         self.frozen: dict[int, float] = {}
         self._check(self._highs.addRows(
             num_rows + 1,
@@ -283,6 +305,7 @@ class _StageModel:
             index.astype(np.int32),
             block[index, cols],
         ))
+        self._column[joints] = np.arange(self.working.size + 1, self.working.size + joints.size + 1)
         self.working = np.concatenate((self.working, joints))
 
     def _set_weights(self, weights: np.ndarray) -> None:
@@ -298,6 +321,23 @@ class _StageModel:
             self._highs.changeCoeff(int(i), 0, 0.0)
             self._highs.changeRowBounds(int(i), -kHighsInf, float(bound))
             self.frozen[int(i)] = self._upper[i] = float(bound)
+
+    def retire(self, reduced: np.ndarray) -> bool:
+        """Retire the live joints whose reduced cost ``reduced`` (in
+        ``live`` order, at a stage LP optimum) is above ``PRICING_TOL``:
+        each is 0 at every optimum of that stage, and so of every later
+        one.  A retired working-set column is nonbasic at 0, so bounding
+        it above by 0 keeps the basis valid.  Returns whether any joint
+        retired."""
+        dead = reduced > PRICING_TOL
+        if not dead.any():
+            return False
+        cols = self._column[self.live[dead]]
+        cols = cols[cols > 0]
+        self._check(self._highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), np.zeros(cols.size)))
+        self.live = self.live[~dead]
+        self._live_values = self._values[:, self.live]
+        return True
 
     def _run(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Solve the model as it stands.  Returns (raw sigma over the
@@ -333,57 +373,53 @@ class _StageModel:
             )
         return x[1:], float(x[0]), np.array(solution.row_dual)
 
-    def solve(self) -> tuple[np.ndarray, float, np.ndarray]:
-        """Solve, adding the joints that price negative until none does, so
-        the optimum is that of the LP over every joint.  Returns what
-        ``_run`` returns for the last solve."""
+    def solve(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        """Solve, adding the live joints that price negative until none
+        does, so the optimum is that of the LP over every live joint.
+        Returns what ``_run`` returns for the last solve and the reduced
+        cost -(row duals @ column) - simplex dual of every live joint."""
         while True:
             x, objective, row_dual = self._run()
-            if self.working.size == self._values.shape[1]:
-                return x, objective, row_dual
-            entering = _entering_joints(self._values, row_dual[:-1] - self._weights, row_dual[-1], self.working)
+            reduced = -((row_dual[:-1] - self._weights) @ self._live_values) - row_dual[-1]
+            entering = np.flatnonzero((reduced < -PRICING_TOL) & (self._column[self.live] == 0))
             if not entering.size:
-                return x, objective, row_dual
-            self._add(entering)
+                return x, objective, row_dual, reduced
+            # most negative first, at most PRICING_BATCH_PER_ROW per constraint row
+            order = np.argsort(reduced[entering], kind="stable")
+            self._add(self.live[entering[order[: PRICING_BATCH_PER_ROW * self._values.shape[0]]]])
 
-    def tight_rows(self, band: Sequence[int], objective: float, row_dual: np.ndarray, tol: float) -> tuple[int, ...]:
+    def tight_rows(self, band: Sequence[int], objective: float, row_dual: np.ndarray, tol: float, basis: _PinBasis) -> tuple[int, ...]:
         """The rows of ``band`` that are tight at every optimum of the stage
         LP just solved, whose optimum is ``objective`` and row duals
         ``row_dual``.  A row with a nonzero dual is, by complementary
-        slackness; a band of one row always holds such a row.  The others
-        are tested by minimizing their sum over the stage's optimal face
-        (t fixed at the optimum); each whose gain there is below
-        ``objective - tol`` is released, and the rest are tested again
-        until none is released."""
+        slackness; a band of one row always holds such a row.  These join
+        ``basis``.  A row that the pins, these rows and the simplex row fix
+        (``basis.constant``) has the same gain all over the optimal face,
+        so it is tight there too.  The others are tested by minimizing
+        their sum over the optimal face (t fixed at the optimum); each
+        whose gain there is below ``objective - tol`` is released, and the
+        rest are tested again until none is released."""
         band = np.array(band, dtype=int)
         # a row's dual is the reduced cost of its slack
-        certain = np.abs(row_dual[band]) > PRICING_TOL
-        candidates = band[~certain]
+        tight = np.abs(row_dual[band]) > PRICING_TOL
+        basis.add(band[tight])
+        # the rows these fix are constant on the optimal face
+        tight[~tight] = basis.constant(band[~tight], FIXED_GAIN_TOL * tol)
+        candidates = band[~tight]
         if candidates.size:
             self._highs.changeColBounds(0, objective, objective)
             while candidates.size:
                 weights = np.zeros(self._values.shape[0])
                 weights[candidates] = 1.0
                 self._set_weights(weights)
-                x, _, _ = self.solve()
-                tight = self._values[candidates][:, self.working] @ x >= objective - tol
-                if tight.all():
+                x = self.solve()[0]
+                kept = self._values[candidates][:, self.working] @ x >= objective - tol
+                if kept.all():
                     break
-                candidates = candidates[tight]
+                candidates = candidates[kept]
             self._set_weights(np.zeros(self._values.shape[0]))
             self._highs.changeColBounds(0, -kHighsInf, kHighsInf)
-        return tuple(sorted(band[certain].tolist() + candidates.tolist()))
-
-
-def _entering_joints(values: np.ndarray, row_prices: np.ndarray, simplex_price: float, working: np.ndarray) -> np.ndarray:
-    """Joints outside ``working`` whose reduced cost -(row_prices @ column)
-    - simplex_price is below -PRICING_TOL, most negative first, at most
-    PRICING_BATCH_PER_ROW per constraint row."""
-    reduced = -(row_prices @ values) - simplex_price
-    reduced[working] = np.inf
-    candidates = np.flatnonzero(reduced < -PRICING_TOL)
-    order = np.argsort(reduced[candidates], kind="stable")
-    return candidates[order[: PRICING_BATCH_PER_ROW * values.shape[0]]]
+        return tuple(sorted(band[tight].tolist() + candidates.tolist()))
 
 
 def _sanitize(sigma_raw: np.ndarray) -> np.ndarray:
@@ -412,71 +448,92 @@ def detect_active(row_gains: np.ndarray, objective: float, *, config: SolverConf
 
 
 class _PinBasis:
-    """Incrementally selected linearly independent subset of the rows
-    frozen by LP stages (the pins), kept as an orthonormal basis of their
-    span, with the simplex direction orthogonalized against it.
+    """Orthonormal basis of the span of the rows frozen by LP stages (the
+    pins), restricted to the live joints, with the simplex direction
+    orthogonalized against it.
 
-    It serves only ``fixes``, which tells when the pins leave no gain free
-    to move so that the remaining stages need no LP; every frozen row,
-    in the basis or not, stays in the stage LPs as a ``<=`` row.  The
-    basis is preallocated for ``capacity`` rows."""
+    The basis grows with the pins.  When joints retire it is rebuilt from
+    the pins on the joints still live, where some may have become
+    dependent: a pin joins only if its residual outside the basis is not
+    negligible against its norm, a rank-revealing Gram-Schmidt step.
+    Every frozen row, in the basis or not, stays in the stage LPs as a
+    ``<=`` row; the basis serves only ``fixes``, which tells when the pins
+    leave no gain free to move so that the remaining stages need no LP,
+    and ``constant``, which tells which rows of a stage's band need no
+    tightness LP."""
 
-    def __init__(self, capacity: int, num_joints: int):
-        self._q = np.empty((capacity, num_joints))
-        self._size = 0
-        self.rows: list[int] = []
-        # unit simplex direction orthogonal to the pins; None once in their span
-        self._ones: np.ndarray | None = np.full(num_joints, num_joints**-0.5)
+    def __init__(self, values: np.ndarray):
+        self._values = values
+        self.pins: list[int] = []
         self._fixed: set[int] = set()
-        self._not_fixed: dict[int, int] = {}  # row -> basis size when checked
+        self._not_fixed: dict[int, int] = {}  # row -> basis version when checked
+        self._version = 0
+        self.restrict(np.arange(values.shape[1]))
+
+    def restrict(self, live: np.ndarray) -> None:
+        """Rebuild the basis from the pins on the joints ``live``."""
+        self._live = live
+        self._q = np.empty((0, live.size))
+        # unit simplex direction orthogonal to the pins; None once in their span
+        self._ones: np.ndarray | None = np.full(live.size, live.size**-0.5)
+        self._version += 1
+        for i in self.pins:
+            self._try_add(i)
 
     def _residual(self, vector: np.ndarray) -> np.ndarray:
         """``vector`` minus its projection onto the basis (two passes)."""
-        v = np.array(vector, dtype=float)
-        if self._size:
-            q = self._q[: self._size]
-            v -= (q @ v) @ q
-            v -= (q @ v) @ q
-        return v
+        v = vector - (self._q @ vector) @ self._q
+        return v - (self._q @ v) @ self._q
 
-    def try_add(self, index: int, vector: np.ndarray, rel_tol: float = 1e-9) -> bool:
-        norm = float(np.linalg.norm(vector))
-        if norm == 0.0:
-            return False
+    def _try_add(self, index: int, rel_tol: float = 1e-9) -> None:
+        vector = self._values[index, self._live]
         v = self._residual(vector)
-        residual = float(np.linalg.norm(v))
-        if residual <= rel_tol * norm:
-            return False
-        self._q[self._size] = v / residual
-        self._size += 1
-        self.rows.append(index)
+        residual = np.sqrt(v @ v)
+        if residual <= rel_tol * np.sqrt(vector @ vector):
+            return
+        self._q = np.vstack((self._q, v / residual))
+        self._version += 1
         if self._ones is not None:
             ones = self._residual(self._ones)
-            length = float(np.linalg.norm(ones))
+            length = np.sqrt(ones @ ones)
             self._ones = ones / length if length > rel_tol else None
+
+    def add(self, rows) -> None:
+        """Pin each of ``rows`` that is not pinned yet."""
+        for i in rows:
+            if i not in self.pins:
+                self.pins.append(int(i))
+                self._try_add(i)
+
+    def _fixes_row(self, i: int, tol: float) -> bool:
+        """Whether row ``i`` lies in the span of the pins and the simplex
+        row on the live joints, up to a residual whose max minus min is at
+        most ``tol``.  That spread bounds how far the row's gain can move
+        over the distributions on the live joints that meet the pins.  A
+        row found fixed stays fixed, as pins are never removed and joints
+        never revive; a row found not fixed is checked again only after
+        the basis changes."""
+        if i in self._fixed:
+            return True
+        if self._not_fixed.get(i) == self._version:
+            return False
+        v = self._values[i, self._live]
+        r = v - (self._q @ v) @ self._q
+        if self._ones is not None:
+            r -= (self._ones @ r) * self._ones
+        if r.max() - r.min() > tol:
+            self._not_fixed[i] = self._version
+            return False
+        self._fixed.add(i)
         return True
 
-    def fixes(self, values: np.ndarray, rows: Sequence[int], tol: float) -> bool:
-        """Whether every row of ``values`` listed in ``rows`` lies in the
-        span of the pins and the simplex row, up to a residual whose max
-        minus min is at most ``tol``.  That spread bounds how far the
-        row's gain can move over the distributions that meet the pins.
-        A row found fixed stays fixed, as pins are never removed; a row
-        found not fixed is checked again only after the basis grows."""
-        q = self._q[: self._size]
-        for i in rows:
-            if i in self._fixed:
-                continue
-            if self._not_fixed.get(i) == self._size:
-                return False
-            r = values[i] - (q @ values[i]) @ q
-            if self._ones is not None:
-                r -= (self._ones @ r) * self._ones
-            if r.max() - r.min() > tol:
-                self._not_fixed[i] = self._size
-                return False
-            self._fixed.add(i)
-        return True
+    def fixes(self, rows: Sequence[int], tol: float) -> bool:
+        """Whether the pins fix every one of ``rows`` (see ``_fixes_row``)."""
+        return all(self._fixes_row(i, tol) for i in rows)
+
+    def constant(self, rows: Sequence[int], tol: float) -> np.ndarray:
+        """Which of ``rows`` the pins fix, as a boolean mask."""
+        return np.array([self._fixes_row(i, tol) for i in rows], dtype=bool)
 
 
 def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraintSystem | None = None) -> RatingResult:
@@ -488,7 +545,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
     values = matrix.values / factor
     num_rows, num_joints = values.shape
     labels = [(game.players[p], game.strategies[p][i]) for p, i in matrix.row_keys]
-    basis = _PinBasis(num_rows, num_joints)
+    basis = _PinBasis(values)
     log: list[FreezeRecord] = []
 
     def record(stage: int, rows: tuple[int, ...], objective: float) -> None:
@@ -511,20 +568,22 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
             )
         frozen = frozenset(model.frozen)
         unfrozen = np.array(sorted(set(range(num_rows)) - frozen), dtype=int)
-        if basis.rows and basis.fixes(values, unfrozen.tolist(), FIXED_GAIN_TOL * config.active_tol):
+        if basis.pins and basis.fixes(unfrozen.tolist(), FIXED_GAIN_TOL * config.active_tol):
             # every distribution that meets the pins gives each unfrozen row
             # the same gain, so the gains of the last LP solution stand for all
             objective = float(gains[unfrozen].max())
             active = detect_active(gains, objective, config=config, frozen=frozen)
         else:
-            sigma_raw, objective, row_dual = model.solve()
+            sigma_raw, objective, row_dual, reduced_costs = model.solve()
             sigma = np.zeros(num_joints)
             sigma[model.working] = _sanitize(sigma_raw)
             gains = values @ sigma
+            # every later stage's optima lie on this stage's optimal face
+            if model.retire(reduced_costs):
+                basis.restrict(model.live)
             band = detect_active(gains, objective, config=config, frozen=frozen)
-            active = model.tight_rows(band, objective, row_dual, config.active_tol)
-            for i in active:
-                basis.try_add(i, values[i])
+            active = model.tight_rows(band, objective, row_dual, config.active_tol, basis)
+            basis.add(active)
         model.freeze(active, gains[list(active)])
         record(stage, active, objective)
 

@@ -312,6 +312,20 @@ def _freeze_sets(result):
     return [(rec.stage, frozenset(rec.rows)) for rec in result.freeze_log]
 
 
+def _engine_games(monkeypatch) -> list:
+    """Two planted 12×12×4 tables, the meta-games of a 10-iteration loop,
+    the 30 ``_discrete_game`` games and 20 tied 4×4×4 games."""
+    rated = _recording_rater(monkeypatch)
+    run_improvement_loop(random_game(np.random.default_rng(8), (3, 3)), "deviation", LoopConfig(iterations=10, population_size=8, seed=5))
+    monkeypatch.undo()
+    return [
+        *(game_from_table_3p(_planted_table(seed, 12, 4)) for seed in (31, 32)),
+        *(meta for meta, _ in rated),
+        *(_discrete_game(k) for k in range(30)),
+        *(_tied_game(np.random.default_rng((4444, k)), (4, 4, 4)) for k in range(20)),
+    ]
+
+
 def test_column_generation_matches_exact_lp(monkeypatch):
     games = [
         game_from_table_3p(_planted_table(11, 12, 4)),
@@ -342,15 +356,7 @@ def test_column_generation_matches_exact_lp(monkeypatch):
 
 
 def test_warm_model_matches_cold_solves(monkeypatch):
-    rated = _recording_rater(monkeypatch)
-    run_improvement_loop(random_game(np.random.default_rng(8), (3, 3)), "deviation", LoopConfig(iterations=10, population_size=8, seed=5))
-    monkeypatch.undo()
-    games = [
-        *(game_from_table_3p(_planted_table(seed, 12, 4)) for seed in (31, 32)),
-        *(meta for meta, _ in rated),
-        *(_discrete_game(k) for k in range(30)),
-        *(_tied_game(np.random.default_rng((4444, k)), (4, 4, 4)) for k in range(20)),
-    ]
+    games = _engine_games(monkeypatch)
     warm = [deviation_rating(g) for g in games]
 
     def cold_run(highs):
@@ -434,12 +440,84 @@ def test_lp_free_stages_match_lp_path(monkeypatch):
     values[3] = 2.0 * values[0] - values[1] + 0.5  # in the span of rows 0, 1 and the simplex row
     values[4] = values[3]
     values[4, 7] += 1e-6  # just outside it
-    basis = devrating.rating._PinBasis(5, 12)
-    assert basis.try_add(0, values[0]) and basis.try_add(1, values[1])
+    basis = devrating.rating._PinBasis(values)
+    basis.add([0, 1])
     tol = devrating.rating.FIXED_GAIN_TOL * SolverConfig().active_tol
-    assert not basis.fixes(values, [2], tol)
-    assert not basis.fixes(values, [4], tol)
-    assert basis.fixes(values, [3], tol)
+    assert not basis.fixes([2], tol)
+    assert not basis.fixes([4], tol)
+    assert basis.fixes([3], tol)
+
+
+def test_retired_joints_leave_ratings_unchanged(monkeypatch):
+    games = _engine_games(monkeypatch)
+    columns = _counting_solves(monkeypatch)
+    face = [deviation_rating(games[0])]
+    face_runs = len(columns)
+    face += [deviation_rating(g) for g in games[1:]]
+    monkeypatch.setattr(devrating.rating._StageModel, "retire", lambda self, reduced: False)
+    columns.clear()
+    full = [deviation_rating(games[0])]
+    assert face_runs < len(columns)
+    full += [deviation_rating(g) for g in games[1:]]
+    for g, f, u in zip(games, face, full):
+        assert _freeze_sets(f) == _freeze_sets(u)
+        assert f.stage_count == u.stage_count
+        # the smaller face can make different stages LP-free, whose ratings
+        # the pins fix only to this bound
+        tol = devrating.rating.FIXED_GAIN_TOL * SolverConfig().active_tol * g.payoff_spread()
+        for p in range(g.num_players):
+            assert np.max(np.abs(f.ratings[p] - u.ratings[p])) <= tol
+
+
+def test_retire_keeps_every_joint_with_zero_reduced_cost():
+    # the planted copies make duplicate joint columns, so every joint in
+    # the support whose model is a copy has a twin with the same reduced cost
+    game = game_from_table_3p(_planted_table(31, 12, 4))
+    values = cce_constraint_matrix(game).values / game.payoff_spread()
+    model = devrating.rating._StageModel(values, np.arange(values.shape[1]))
+    x, objective, _, reduced = model.solve()
+    assert model.retire(reduced)
+    tol = devrating.rating.PRICING_TOL
+    assert np.array_equal(model.live, np.flatnonzero(reduced <= tol))
+    assert 0 < model.live.size < values.shape[1]
+    twins = [
+        k
+        for j in model.working[x > 0]
+        for k in np.flatnonzero((values == values[:, [j]]).all(axis=0))
+        if k != j
+    ]
+    assert twins and np.isin(twins, model.live).all()
+    assert np.abs(reduced[twins]).max() <= tol
+    # the optimum of the stage survives on the joints still live
+    assert model.solve()[1] == pytest.approx(objective, abs=1e-12)
+
+
+def test_span_shortcut_keeps_no_row_the_lp_test_releases(monkeypatch):
+    constant = devrating.rating._PinBasis.constant
+    tight_rows = devrating.rating._StageModel.tight_rows
+    fired, released = [], []
+
+    def recording_constant(self, rows, tol):
+        mask = constant(self, rows, tol)
+        fired.append(mask.any())
+        return mask
+
+    def recording_tight_rows(self, band, *args):
+        active = tight_rows(self, band, *args)
+        released.append(len(active) < len(band))  # only the LP test releases a row
+        return active
+
+    monkeypatch.setattr(devrating.rating._PinBasis, "constant", recording_constant)
+    monkeypatch.setattr(devrating.rating._StageModel, "tight_rows", recording_tight_rows)
+    deviation_rating(game_from_table_3p(_planted_table(31, 12, 4)))
+    assert any(fired)
+    released.clear()
+    games = [_tied_property_game(k) for k in range(150)]
+    shortcut = [deviation_rating(g) for g in games]
+    assert any(released)
+    monkeypatch.setattr(devrating.rating._PinBasis, "constant", lambda self, rows, tol: np.zeros(len(rows), dtype=bool))
+    for g, s in zip(games, shortcut):
+        assert _freeze_sets(deviation_rating(g)) == _freeze_sets(s)
 
 
 def _linprog_stage_one(game) -> float:
@@ -546,7 +624,7 @@ def test_highs_binds_every_method_the_engine_calls():
         and isinstance(node.func, ast.Attribute)
         and ast.unparse(node.func.value) in ("highs", "self._highs")
     }
-    assert {"run", "addCols", "changeCoeff", "changeRowBounds", "changeColBounds", "changeColsCost", "getSolution"} <= called
+    assert {"run", "addCols", "changeCoeff", "changeRowBounds", "changeColBounds", "changeColsBounds", "changeColsCost", "getSolution"} <= called
     assert [name for name in sorted(called) if not hasattr(_Highs, name)] == []
 
 
