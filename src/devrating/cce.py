@@ -229,23 +229,26 @@ class CCEConstraintMatrix:
 
 
 def cce_constraint_matrix(game: NormalFormGame) -> CCEConstraintMatrix:
-    """Build the deviation constraint matrix of ``game``."""
+    """Build the deviation constraint matrix of ``game``.
+
+    Player p's rows are one broadcast subtraction: entry (a', a) of
+    ``moveaxis(g, p, 0)`` with an axis inserted at p + 1 is G_p(a', a_-p),
+    broadcast over a_p, minus G_p(a).  It is written straight into the
+    player's row block, so no temporary block is allocated.
+    """
     shape = game.shape
     rows = np.empty((sum(shape), game.num_joints))
-    row_keys = []
     r = 0
     for p, g in enumerate(game.payoffs):
-        for i in range(shape[p]):
-            dev = np.expand_dims(np.take(g, i, axis=p), axis=p)
-            rows[r] = (np.broadcast_to(dev, shape) - g).reshape(-1)
-            row_keys.append((p, i))
-            r += 1
+        block = rows[r : r + shape[p]].reshape((shape[p],) + shape)
+        np.subtract(np.expand_dims(np.moveaxis(g, p, 0), p + 1), g, out=block)
+        r += shape[p]
     rows.setflags(write=False)
     return CCEConstraintMatrix(
         values=rows,
         players=game.players,
         strategies=game.strategies,
-        row_keys=tuple(row_keys),
+        row_keys=tuple((p, i) for p, n in enumerate(shape) for i in range(n)),
     )
 
 

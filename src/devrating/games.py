@@ -56,6 +56,11 @@ class UnknownLabelError(GameError):
 def quantize(values, decimals: int = QUANT_DECIMALS) -> np.ndarray:
     """Round values half-to-even at ``decimals`` decimal places.
 
+    ``np.round`` scales, rounds and scales back, so the result is within
+    ``0.5 * 10**-decimals + 2 * np.spacing(abs(x))`` of each value x, not
+    within the half unit alone: the scaling costs up to about one more ulp
+    of x.
+
     Applied to payoffs at game build time and to constraint columns before
     deduplication, so that duplicate detection is a bitwise comparison.
     """

@@ -65,19 +65,25 @@ every distribution on the live joints that meets the pins.  How far its
 gain can move is bounded by the max minus min of its residual outside
 that span.  When that bound is at most ``FIXED_GAIN_TOL`` times
 ``active_tol`` for every unfrozen row, the remaining stages freeze rows
-from the gains at the last LP solution, with no further LP.  Such stages
-still count as stages and get freeze records.  This is common because
-constraint rows have far lower rank than their count: a row of a
-score-table game depends on the joint only through the task marginal,
-and a 16-row 8×8 meta-game of a 3×3 game has rank 6.
+from the gains at the last LP solution, with no further LP.  A row found
+fixed stays fixed, so from then on every stage is LP-free, and they run
+in one pass over the unfrozen rows sorted by that gain: each freezes the
+rows within ``active_tol`` of the largest gain left, the band rule of
+``detect_active``.  Such stages still count as stages and get freeze
+records.  This is common because constraint rows have far lower rank
+than their count: a row of a score-table game depends on the joint only
+through the task marginal, and a 16-row 8×8 meta-game of a 3×3 game has
+rank 6.
 
 Every LP of a rating is solved on one HiGHS model, changed in place:
 pricing adds columns, retiring a joint bounds its column, freezing a row
 changes its coefficient on t and its bound, and the tightness test
 changes the costs and the bounds of t.  HiGHS keeps its basis across
-these changes, so only the first solve presolves and every later one
-starts from the previous optimum.  A solve that is not optimal, or whose
-solution misses its constraints, raises a typed ``RatingError``.
+these changes, so every solve after the first starts from the previous
+optimum, which skips presolve.  The first solve does not presolve
+either: it is over the small initial working set, where presolve costs
+more than it saves.  A solve that is not optimal, or whose solution
+misses its constraints, raises a typed ``RatingError``.
 
 Constraints are divided by the game's payoff spread before solving and
 results are scaled back; the factor is global, so exact cross-player ties
@@ -99,14 +105,7 @@ import scipy.sparse as sp  # noqa: F401  perfbench/tracing.py times sparse assem
 from scipy.optimize import linprog  # noqa: F401  perfbench/tracing.py raises TraceError unless this is bound
 
 try:
-    from scipy.optimize._highspy._core import (
-        HighsDebugLevel,
-        HighsModelStatus,
-        HighsStatus,
-        _Highs,
-        kHighsInf,
-        simplex_constants,
-    )
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs, kHighsInf
 except ImportError as exc:
     raise ImportError(
         "devrating needs scipy>=1.15.0, whose scipy.optimize._highspy._core "
@@ -233,14 +232,16 @@ class RatingResult:
 
 
 def _new_highs() -> _Highs:
-    """A HiGHS solver with the options scipy's ``method="highs"`` sets."""
+    """A silent HiGHS solver that never presolves: every solve but the
+    first starts from the previous basis, which skips presolve, and on the
+    first, over the small initial working set, presolve costs more than it
+    saves.  The other options keep their HiGHS defaults, among them the
+    dual simplex."""
     highs = _Highs()
     # one call per option costs less than building a HighsOptions
-    highs.setOptionValue("presolve", "on")
-    highs.setOptionValue("highs_debug_level", int(HighsDebugLevel.kHighsDebugLevelNone))
+    highs.setOptionValue("presolve", "off")
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual))
     return highs
 
 
@@ -431,20 +432,41 @@ def _sanitize(sigma_raw: np.ndarray) -> np.ndarray:
     return sigma / total
 
 
+def _in_band(gains: np.ndarray, top: float, tol: float) -> np.ndarray:
+    """The tie rule: which of ``gains`` lie within ``tol`` of ``top``."""
+    return np.abs(gains - top) <= tol
+
+
 def detect_active(row_gains: np.ndarray, objective: float, *, config: SolverConfig = SolverConfig(), frozen: frozenset | set = frozenset()) -> tuple[int, ...]:
     """The candidates to freeze after a stage: every unfrozen row whose
     gain lies within ``active_tol`` of the objective, or else the argmax
     row.  Ties are candidates together, which is what keeps exact
     duplicates (clones) at identical ratings."""
-    active = {
-        i
-        for i in range(row_gains.size)
-        if i not in frozen and abs(row_gains[i] - objective) <= config.active_tol
-    }
-    if not active:
-        candidates = [i for i in range(row_gains.size) if i not in frozen]
-        active = {max(candidates, key=lambda i: row_gains[i])}
-    return tuple(sorted(active))
+    free = np.ones(row_gains.size, dtype=bool)
+    free[list(frozen)] = False
+    active = np.flatnonzero(free & _in_band(row_gains, objective, config.active_tol))
+    if not active.size:
+        candidates = np.flatnonzero(free)
+        active = candidates[[np.argmax(row_gains[candidates])]]
+    return tuple(active.tolist())
+
+
+def _tail_stages(gains: np.ndarray, rows: Sequence[int], tol: float) -> list[tuple[float, tuple[int, ...]]]:
+    """The (objective, rows) of each stage that freezes ``rows`` at fixed
+    ``gains``, in one pass: the stages repeated ``detect_active`` gives
+    with each objective the largest gain left.  In the rows sorted by
+    gain, each band is the rows within ``tol`` of its first, a prefix of
+    the rows left since the sort is descending."""
+    rows = np.asarray(rows, dtype=int)
+    order = rows[np.argsort(-gains[rows], kind="stable")]
+    ordered = gains[order]
+    stages = []
+    start = 0
+    while start < order.size:
+        end = start + int(np.count_nonzero(_in_band(ordered[start:], ordered[start], tol)))
+        stages.append((float(ordered[start]), tuple(sorted(order[start:end].tolist()))))
+        start = end
+    return stages
 
 
 class _PinBasis:
@@ -545,6 +567,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
     values = matrix.values / factor
     num_rows, num_joints = values.shape
     labels = [(game.players[p], game.strategies[p][i]) for p, i in matrix.row_keys]
+    del matrix  # keep one dense copy of the constraints for the rating
     basis = _PinBasis(values)
     log: list[FreezeRecord] = []
 
@@ -561,29 +584,33 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
     sigma = np.full(num_joints, 1.0 / num_joints)
     stage = 0
     while len(model.frozen) < num_rows:
+        frozen = frozenset(model.frozen)
+        unfrozen = [i for i in range(num_rows) if i not in frozen]
+        if basis.pins and basis.fixes(unfrozen, FIXED_GAIN_TOL * config.active_tol):
+            # every distribution that meets the pins gives each unfrozen row
+            # the same gain, so the gains of the last LP solution stand for
+            # all; a row found fixed stays fixed, so no later stage needs an
+            # LP either, and the model, never solved again, is left as it is
+            for objective, active in _tail_stages(gains, unfrozen, config.active_tol):
+                stage += 1
+                model.frozen.update(zip(active, gains[list(active)].tolist()))
+                record(stage, active, objective)
+            break
         stage += 1
         if stage > num_rows:
             raise StageBudgetError(
                 f"exceeded stage budget {num_rows} with {num_rows - len(model.frozen)} rows left"
             )
-        frozen = frozenset(model.frozen)
-        unfrozen = np.array(sorted(set(range(num_rows)) - frozen), dtype=int)
-        if basis.pins and basis.fixes(unfrozen.tolist(), FIXED_GAIN_TOL * config.active_tol):
-            # every distribution that meets the pins gives each unfrozen row
-            # the same gain, so the gains of the last LP solution stand for all
-            objective = float(gains[unfrozen].max())
-            active = detect_active(gains, objective, config=config, frozen=frozen)
-        else:
-            sigma_raw, objective, row_dual, reduced_costs = model.solve()
-            sigma = np.zeros(num_joints)
-            sigma[model.working] = _sanitize(sigma_raw)
-            gains = values @ sigma
-            # every later stage's optima lie on this stage's optimal face
-            if model.retire(reduced_costs):
-                basis.restrict(model.live)
-            band = detect_active(gains, objective, config=config, frozen=frozen)
-            active = model.tight_rows(band, objective, row_dual, config.active_tol, basis)
-            basis.add(active)
+        sigma_raw, objective, row_dual, reduced_costs = model.solve()
+        sigma = np.zeros(num_joints)
+        sigma[model.working] = _sanitize(sigma_raw)
+        gains = values @ sigma
+        # every later stage's optima lie on this stage's optimal face
+        if model.retire(reduced_costs):
+            basis.restrict(model.live)
+        band = detect_active(gains, objective, config=config, frozen=frozen)
+        active = model.tight_rows(band, objective, row_dual, config.active_tol, basis)
+        basis.add(active)
         model.freeze(active, gains[list(active)])
         record(stage, active, objective)
 

@@ -88,11 +88,12 @@ def test_verify_cce_reports_worst_row():
 
 
 def test_constraint_matrix_matches_loop_oracle():
-    for seed, shape in [(0, (2, 2)), (1, (3, 2)), (2, (2, 2, 3))]:
+    # 2 to 4 players, unequal strategy counts, players with a single strategy
+    for seed, shape in [(0, (2, 2)), (1, (3, 2)), (2, (2, 2, 3)), (3, (4, 2)), (4, (1, 3, 2)), (5, (3, 2, 1, 2))]:
         g = random_game(np.random.default_rng(seed), shape)
         A = cce_constraint_matrix(g)
         vals, keys = oracle_constraint_rows(g)
-        assert np.max(np.abs(A.values - vals)) < 1e-12
+        assert A.values.tobytes() == vals.tobytes()  # bitwise
         assert list(A.row_keys) == keys
         assert A.num_rows == sum(shape)
         assert A.num_joints == int(np.prod(shape))

@@ -228,6 +228,35 @@ def test_detect_active_band_and_ties():
     assert active == (2,)
 
 
+def _repeated_detect_active(gains, rows, tol):
+    """The stages that freeze ``rows`` at fixed ``gains``, one
+    ``detect_active`` call each, at the largest gain left."""
+    frozen = set(range(gains.size)) - set(rows)
+    stages = []
+    while len(frozen) < gains.size:
+        objective = max(gains[i] for i in range(gains.size) if i not in frozen)
+        active = detect_active(gains, objective, config=SolverConfig(active_tol=tol), frozen=frozen)
+        stages.append((float(objective), active))
+        frozen |= set(active)
+    return stages
+
+
+def test_one_pass_tail_matches_repeated_detect_active():
+    tol = SolverConfig().active_tol
+    tail = devrating.rating._tail_stages
+    # a chain of near-ties: row 1 is within tol of rows 0 and 2, which are
+    # not within tol of each other
+    gains = np.array([0.0, -0.6 * tol, -1.2 * tol])
+    assert tail(gains, [0, 1, 2], tol) == [(0.0, (0, 1)), (-1.2 * tol, (2,))]
+    assert tail(gains, [0, 1, 2], tol) == _repeated_detect_active(gains, [0, 1, 2], tol)
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        # clusters of gains 0.4 tol apart, with exact ties, some rows frozen
+        gains = -0.1 * rng.integers(0, 3, size=16) - 0.4 * tol * rng.integers(0, 6, size=16)
+        rows = sorted(rng.choice(16, size=int(rng.integers(1, 17)), replace=False).tolist())
+        assert tail(gains, rows, tol) == _repeated_detect_active(gains, rows, tol)
+
+
 def test_result_serialization_schema(tmp_path):
     game = prisoners_dilemma()
     res = deviation_rating(game)
