@@ -376,13 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_default=None, output_required=False):
+    def common(p, output_default=None, output_required=False,
+               tol_help="active-constraint tolerance for the rating solver"):
         p.add_argument("--input", required=True,
                        help="game JSON / score-table CSV path, 'shapley', or 'random[:AxB[xC]]'")
         p.add_argument("--format", choices=FORMATS, default="auto")
         p.add_argument("--gamify", choices=GAMIFY_MODES, default="none")
-        p.add_argument("--tol", type=float, default=None,
-                       help="active-constraint tolerance for the rating solver")
+        p.add_argument("--tol", type=float, default=None, help=tol_help)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=output_default, required=output_required)
 
@@ -408,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     check = sub.add_parser("check", help="randomized rating property checks")
-    common(check)
+    common(check, tol_help="largest deviation a property check passes with "
+                           "(default: the property's own); the ratings use the default solver tolerance")
     check.add_argument("--property", choices=PROPERTY_NAMES, required=True)
     check.add_argument("--method", choices=("deviation", "uniform"), default="deviation")
     check.add_argument("--trials", type=int, default=100)

@@ -55,20 +55,20 @@ its working-set column, nonbasic at 0, is bounded above by 0, which
 keeps the basis valid.  Every later solve, tightness test and span test
 runs on the joints still live.
 
-A stage needs no LP once the frozen rows fix every unfrozen row.  The
-frozen rows of LP stages (the pins) are kept as an orthonormal basis on
-the live joints, with the simplex row orthogonalized against it.  It
-grows with the pins, and when joints retire it is rebuilt from the pins
-that stay independent on the joints still live.  An unfrozen row that
-lies in the span of the pins and the simplex row has the same gain at
-every distribution on the live joints that meets the pins.  How far its
-gain can move is bounded by the max minus min of its residual outside
-that span.  When that bound is at most ``FIXED_GAIN_TOL`` times
-``active_tol`` for every unfrozen row, the remaining stages freeze rows
-from the gains at the last LP solution, with no further LP.  A row found
-fixed stays fixed, so from then on every stage is LP-free, and they run
-in one pass over the unfrozen rows sorted by that gain: each freezes the
-rows within ``active_tol`` of the largest gain left, the band rule of
+A stage needs no LP once the frozen rows (the pins) fix every unfrozen
+row.  An unfrozen row that lies in the span of the pins and the simplex
+row on the live joints has the same gain at every distribution on the
+live joints that meets the pins.  How far its gain can move is bounded by
+the max minus min of its residual outside that span.  The span test
+(``_fixed``) builds an orthonormal basis of that span afresh on each
+call, from the simplex row and the pins that are independent on the
+joints live at the time, and projects all the rows it tests at once.
+When the bound is at most ``FIXED_GAIN_TOL`` times ``active_tol`` for
+every unfrozen row, the remaining stages freeze rows from the gains at
+the last LP solution, with no further LP.  A row found fixed stays
+fixed, so from then on every stage is LP-free, and they run in one pass
+over the unfrozen rows sorted by that gain: each freezes the rows within
+``active_tol`` of the largest gain left, the band rule of
 ``detect_active``.  Such stages still count as stages and get freeze
 records.  This is common because constraint rows have far lower rank
 than their count: a row of a score-table game depends on the joint only
@@ -193,6 +193,11 @@ class SolverConfig:
     """
 
     active_tol: float = 1e-8
+
+    def __post_init__(self):
+        # the tie band around a stage optimum must hold the row at the optimum
+        if not (np.isfinite(self.active_tol) and self.active_tol >= 0):
+            raise ValueError(f"active_tol must be finite and >= 0, got {self.active_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -323,22 +328,20 @@ class _StageModel:
             self._highs.changeRowBounds(int(i), -kHighsInf, float(bound))
             self.frozen[int(i)] = self._upper[i] = float(bound)
 
-    def retire(self, reduced: np.ndarray) -> bool:
+    def retire(self, reduced: np.ndarray) -> None:
         """Retire the live joints whose reduced cost ``reduced`` (in
         ``live`` order, at a stage LP optimum) is above ``PRICING_TOL``:
         each is 0 at every optimum of that stage, and so of every later
         one.  A retired working-set column is nonbasic at 0, so bounding
-        it above by 0 keeps the basis valid.  Returns whether any joint
-        retired."""
+        it above by 0 keeps the basis valid."""
         dead = reduced > PRICING_TOL
         if not dead.any():
-            return False
+            return
         cols = self._column[self.live[dead]]
         cols = cols[cols > 0]
         self._check(self._highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), np.zeros(cols.size)))
         self.live = self.live[~dead]
         self._live_values = self._values[:, self.live]
-        return True
 
     def _run(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Solve the model as it stands.  Returns (raw sigma over the
@@ -389,23 +392,23 @@ class _StageModel:
             order = np.argsort(reduced[entering], kind="stable")
             self._add(self.live[entering[order[: PRICING_BATCH_PER_ROW * self._values.shape[0]]]])
 
-    def tight_rows(self, band: Sequence[int], objective: float, row_dual: np.ndarray, tol: float, basis: _PinBasis) -> tuple[int, ...]:
+    def tight_rows(self, band: Sequence[int], objective: float, row_dual: np.ndarray, tol: float) -> tuple[int, ...]:
         """The rows of ``band`` that are tight at every optimum of the stage
         LP just solved, whose optimum is ``objective`` and row duals
         ``row_dual``.  A row with a nonzero dual is, by complementary
-        slackness; a band of one row always holds such a row.  These join
-        ``basis``.  A row that the pins, these rows and the simplex row fix
-        (``basis.constant``) has the same gain all over the optimal face,
-        so it is tight there too.  The others are tested by minimizing
-        their sum over the optimal face (t fixed at the optimum); each
-        whose gain there is below ``objective - tol`` is released, and the
-        rest are tested again until none is released."""
+        slackness; a band of one row always holds such a row.  A row that
+        the frozen rows, these rows and the simplex row fix (``_fixed``)
+        has the same gain all over the optimal face, so it is tight there
+        too.  The others are tested by minimizing their sum over the
+        optimal face (t fixed at the optimum); each whose gain there is
+        below ``objective - tol`` is released, and the rest are tested
+        again until none is released."""
         band = np.array(band, dtype=int)
         # a row's dual is the reduced cost of its slack
         tight = np.abs(row_dual[band]) > PRICING_TOL
-        basis.add(band[tight])
-        # the rows these fix are constant on the optimal face
-        tight[~tight] = basis.constant(band[~tight], FIXED_GAIN_TOL * tol)
+        if not tight.all():
+            pins = [*self.frozen, *band[tight].tolist()]
+            tight[~tight] = _fixed(self._values, pins, self.live, band[~tight], FIXED_GAIN_TOL * tol)
         candidates = band[~tight]
         if candidates.size:
             self._highs.changeColBounds(0, objective, objective)
@@ -469,93 +472,34 @@ def _tail_stages(gains: np.ndarray, rows: Sequence[int], tol: float) -> list[tup
     return stages
 
 
-class _PinBasis:
-    """Orthonormal basis of the span of the rows frozen by LP stages (the
-    pins), restricted to the live joints, with the simplex direction
-    orthogonalized against it.
+def _fixed(values: np.ndarray, pins: Sequence[int], live: np.ndarray, rows: Sequence[int], tol: float) -> np.ndarray:
+    """Which of ``rows`` the ``pins`` fix on the ``live`` joints, as a
+    boolean mask: which lie in the span of the pins and the simplex row
+    there, up to a residual whose max minus min is at most ``tol``.  That
+    spread bounds how far the row's gain can move over the distributions
+    on the live joints that meet the pins.
 
-    The basis grows with the pins.  When joints retire it is rebuilt from
-    the pins on the joints still live, where some may have become
-    dependent: a pin joins only if its residual outside the basis is not
-    negligible against its norm, a rank-revealing Gram-Schmidt step.
-    Every frozen row, in the basis or not, stays in the stage LPs as a
-    ``<=`` row; the basis serves only ``fixes``, which tells when the pins
-    leave no gain free to move so that the remaining stages need no LP,
-    and ``constant``, which tells which rows of a stage's band need no
-    tightness LP."""
-
-    def __init__(self, values: np.ndarray):
-        self._values = values
-        self.pins: list[int] = []
-        self._fixed: set[int] = set()
-        self._not_fixed: dict[int, int] = {}  # row -> basis version when checked
-        self._version = 0
-        self.restrict(np.arange(values.shape[1]))
-
-    def restrict(self, live: np.ndarray) -> None:
-        """Rebuild the basis from the pins on the joints ``live``."""
-        self._live = live
-        self._q = np.empty((0, live.size))
-        # unit simplex direction orthogonal to the pins; None once in their span
-        self._ones: np.ndarray | None = np.full(live.size, live.size**-0.5)
-        self._version += 1
-        for i in self.pins:
-            self._try_add(i)
-
-    def _residual(self, vector: np.ndarray) -> np.ndarray:
-        """``vector`` minus its projection onto the basis (two passes)."""
-        v = vector - (self._q @ vector) @ self._q
-        return v - (self._q @ v) @ self._q
-
-    def _try_add(self, index: int, rel_tol: float = 1e-9) -> None:
-        vector = self._values[index, self._live]
-        v = self._residual(vector)
+    The span gets an orthonormal basis by Gram-Schmidt, the simplex row
+    first and then each pin in order.  A pin joins only if its residual
+    outside the basis is not negligible against its norm, a rank-revealing
+    step: pins that are zero, repeated, or dependent on the live joints
+    drop out."""
+    q = np.empty((len(pins) + 1, live.size))
+    q[0] = live.size**-0.5
+    rank = 1
+    for vector in values[np.ix_(pins, live)]:
+        basis = q[:rank]
+        # two passes, so the residual is orthogonal to the basis
+        v = vector - (basis @ vector) @ basis
+        v -= (basis @ v) @ basis
         residual = np.sqrt(v @ v)
-        if residual <= rel_tol * np.sqrt(vector @ vector):
-            return
-        self._q = np.vstack((self._q, v / residual))
-        self._version += 1
-        if self._ones is not None:
-            ones = self._residual(self._ones)
-            length = np.sqrt(ones @ ones)
-            self._ones = ones / length if length > rel_tol else None
-
-    def add(self, rows) -> None:
-        """Pin each of ``rows`` that is not pinned yet."""
-        for i in rows:
-            if i not in self.pins:
-                self.pins.append(int(i))
-                self._try_add(i)
-
-    def _fixes_row(self, i: int, tol: float) -> bool:
-        """Whether row ``i`` lies in the span of the pins and the simplex
-        row on the live joints, up to a residual whose max minus min is at
-        most ``tol``.  That spread bounds how far the row's gain can move
-        over the distributions on the live joints that meet the pins.  A
-        row found fixed stays fixed, as pins are never removed and joints
-        never revive; a row found not fixed is checked again only after
-        the basis changes."""
-        if i in self._fixed:
-            return True
-        if self._not_fixed.get(i) == self._version:
-            return False
-        v = self._values[i, self._live]
-        r = v - (self._q @ v) @ self._q
-        if self._ones is not None:
-            r -= (self._ones @ r) * self._ones
-        if r.max() - r.min() > tol:
-            self._not_fixed[i] = self._version
-            return False
-        self._fixed.add(i)
-        return True
-
-    def fixes(self, rows: Sequence[int], tol: float) -> bool:
-        """Whether the pins fix every one of ``rows`` (see ``_fixes_row``)."""
-        return all(self._fixes_row(i, tol) for i in rows)
-
-    def constant(self, rows: Sequence[int], tol: float) -> np.ndarray:
-        """Which of ``rows`` the pins fix, as a boolean mask."""
-        return np.array([self._fixes_row(i, tol) for i in rows], dtype=bool)
+        if residual > 1e-9 * np.sqrt(vector @ vector):
+            q[rank] = v / residual
+            rank += 1
+    basis = q[:rank]
+    r = values[np.ix_(rows, live)]
+    r -= (r @ basis.T) @ basis
+    return r.max(axis=1) - r.min(axis=1) <= tol
 
 
 def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraintSystem | None = None) -> RatingResult:
@@ -568,7 +512,6 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
     num_rows, num_joints = values.shape
     labels = [(game.players[p], game.strategies[p][i]) for p, i in matrix.row_keys]
     del matrix  # keep one dense copy of the constraints for the rating
-    basis = _PinBasis(values)
     log: list[FreezeRecord] = []
 
     def record(stage: int, rows: tuple[int, ...], objective: float) -> None:
@@ -586,11 +529,12 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
     while len(model.frozen) < num_rows:
         frozen = frozenset(model.frozen)
         unfrozen = [i for i in range(num_rows) if i not in frozen]
-        if basis.pins and basis.fixes(unfrozen, FIXED_GAIN_TOL * config.active_tol):
-            # every distribution that meets the pins gives each unfrozen row
-            # the same gain, so the gains of the last LP solution stand for
-            # all; a row found fixed stays fixed, so no later stage needs an
-            # LP either, and the model, never solved again, is left as it is
+        if stage and _fixed(values, list(model.frozen), model.live, unfrozen, FIXED_GAIN_TOL * config.active_tol).all():
+            # every distribution that meets the frozen rows gives each
+            # unfrozen row the same gain, so the gains of the last LP
+            # solution stand for all; a row found fixed stays fixed, so no
+            # later stage needs an LP either, and the model, never solved
+            # again, is left as it is
             for objective, active in _tail_stages(gains, unfrozen, config.active_tol):
                 stage += 1
                 model.frozen.update(zip(active, gains[list(active)].tolist()))
@@ -606,11 +550,9 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
         sigma[model.working] = _sanitize(sigma_raw)
         gains = values @ sigma
         # every later stage's optima lie on this stage's optimal face
-        if model.retire(reduced_costs):
-            basis.restrict(model.live)
+        model.retire(reduced_costs)
         band = detect_active(gains, objective, config=config, frozen=frozen)
-        active = model.tight_rows(band, objective, row_dual, config.active_tol, basis)
-        basis.add(active)
+        active = model.tight_rows(band, objective, row_dual, config.active_tol)
         model.freeze(active, gains[list(active)])
         record(stage, active, objective)
 

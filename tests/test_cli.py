@@ -93,6 +93,13 @@ def test_rate_incompatible_combinations_exit_2(tmp_path, shapley_json, table_csv
     assert main(["rate", "--input", str(tmp_path / "missing.json")]) == 2
 
 
+def test_rate_bad_tol_exit_2(tmp_path, capsys):
+    # a negative tie band is bad input, not a solver failure
+    assert main(["rate", "--input", "shapley", "--tol", "-1",
+                 "--output", str(tmp_path / "x.json")]) == 2
+    assert "active_tol" in capsys.readouterr().err
+
+
 def test_rate_malformed_json_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

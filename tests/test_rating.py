@@ -216,6 +216,12 @@ def test_infeasible_meta_game_rates(monkeypatch):
     assert rating_certificate(meta, result).ok()
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_solver_config_rejects_bad_active_tol(tol):
+    with pytest.raises(ValueError, match="active_tol"):
+        SolverConfig(active_tol=tol)
+
+
 def test_detect_active_band_and_ties():
     gains = np.array([-1.0, -0.5, -0.5 + 1e-10, -2.0])
     active = detect_active(gains, objective=-0.5, config=SolverConfig())
@@ -430,6 +436,32 @@ def _discrete_game(k: int):
     return _tied_game(np.random.default_rng((7070, k)), [(2, 2), (2, 3), (2, 2, 2)][k % 3])
 
 
+def _span_test_calls(monkeypatch, off: str | None = None) -> list[tuple[str, np.ndarray]]:
+    """Record every call of the span test ``_fixed`` as (site, mask): site
+    "shortcut" for a call from ``tight_rows``, "tail" for the one that
+    starts the LP-free tail.  At the site ``off``, no row is fixed."""
+    fixed = devrating.rating._fixed
+    tight_rows = devrating.rating._StageModel.tight_rows
+    calls, inside = [], []
+
+    def in_tight_rows(self, *args):
+        inside.append(True)
+        try:
+            return tight_rows(self, *args)
+        finally:
+            inside.pop()
+
+    def recording(values, pins, live, rows, tol):
+        site = "shortcut" if inside else "tail"
+        mask = np.zeros(len(rows), dtype=bool) if site == off else fixed(values, pins, live, rows, tol)
+        calls.append((site, mask))
+        return mask
+
+    monkeypatch.setattr(devrating.rating._StageModel, "tight_rows", in_tight_rows)
+    monkeypatch.setattr(devrating.rating, "_fixed", recording)
+    return calls
+
+
 def test_lp_free_stages_match_lp_path(monkeypatch):
     rated = _recording_rater(monkeypatch)
     run_improvement_loop(random_game(np.random.default_rng(8), (3, 3)), "deviation", LoopConfig(iterations=10, population_size=8, seed=5))
@@ -438,20 +470,20 @@ def test_lp_free_stages_match_lp_path(monkeypatch):
     metas = [meta for meta, _ in rated]
     discrete = [_discrete_game(k) for k in range(30)]
     games = tables + metas + discrete
-    fixes = devrating.rating._PinBasis.fixes
+    tail_stages = devrating.rating._tail_stages
     lp_free, skipped = [], []
     for g in games:
-        outcomes = []
+        tails = []
 
-        def recording(self, *args):
-            outcomes.append(fixes(self, *args))
-            return outcomes[-1]
+        def recording(*args):
+            tails.append(args)
+            return tail_stages(*args)
 
-        monkeypatch.setattr(devrating.rating._PinBasis, "fixes", recording)
+        monkeypatch.setattr(devrating.rating, "_tail_stages", recording)
         lp_free.append(deviation_rating(g))
-        skipped.append(any(outcomes))  # a stage ran no LP
+        skipped.append(bool(tails))  # a stage ran no LP
         monkeypatch.undo()
-    monkeypatch.setattr(devrating.rating._PinBasis, "fixes", lambda self, *args: False)
+    _span_test_calls(monkeypatch, off="tail")
     for g, free in zip(games, lp_free):
         with_lp = deviation_rating(g)
         assert _freeze_sets(free) == _freeze_sets(with_lp)
@@ -469,12 +501,45 @@ def test_lp_free_stages_match_lp_path(monkeypatch):
     values[3] = 2.0 * values[0] - values[1] + 0.5  # in the span of rows 0, 1 and the simplex row
     values[4] = values[3]
     values[4, 7] += 1e-6  # just outside it
-    basis = devrating.rating._PinBasis(values)
-    basis.add([0, 1])
     tol = devrating.rating.FIXED_GAIN_TOL * SolverConfig().active_tol
-    assert not basis.fixes([2], tol)
-    assert not basis.fixes([4], tol)
-    assert basis.fixes([3], tol)
+    mask = devrating.rating._fixed(values, [0, 1], np.arange(12), [2, 3, 4], tol)
+    assert mask.tolist() == [False, True, False]
+
+
+def _lstsq_fixed(values, pins, live, rows, tol) -> list[bool]:
+    """The span test by least squares: each row's residual after its best
+    fit by the pins and the simplex row on the ``live`` joints."""
+    basis = np.column_stack([np.ones(live.size), values[np.ix_(pins, live)].T])
+    mask = []
+    for i in rows:
+        row = values[i, live]
+        residual = row - basis @ np.linalg.lstsq(basis, row, rcond=None)[0]
+        mask.append(bool(residual.max() - residual.min() <= tol))
+    return mask
+
+
+def test_span_test_drops_dependent_pins_like_lstsq():
+    rng = np.random.default_rng(10)
+    live = np.array([0, 2, 3, 5, 7, 8, 10, 11])
+    values = rng.normal(size=(11, 12))
+    values[2] = values[0]  # a duplicated pin
+    values[3] = 2.0 * values[0] - 3.0 * values[1]  # a combination of pins
+    values[4, live] = 0.7  # constant on the live joints only
+    values[5, live] = 3.0 * values[1, live]  # dependent on the live joints only
+    values[6] = 0.0  # a zero row, as frozen up front
+    values[7] = 0.5 * values[0] + values[1] - 0.25  # in the span
+    values[8] = values[7]
+    values[8, 5] += 1e-6  # just outside it, on a live joint
+    values[9] = values[7]
+    values[9, 1] += 1.0  # outside it only on a joint not live
+    tol = devrating.rating.FIXED_GAIN_TOL * SolverConfig().active_tol
+    rows = [7, 8, 9, 10]
+    # on every joint, rows 4 and 5 are pins of their own and row 9 is not fixed
+    for joints, fixed in ((live, [True, False, True, False]), (np.arange(12), [True, False, False, False])):
+        for pins in ([0, 1], [0, 1, 2], [0, 3, 1], [4, 0, 1], [0, 5, 1], [6, 0, 6, 1, 2, 3, 4, 5, 0]):
+            expected = _lstsq_fixed(values, pins, joints, rows, tol)
+            assert expected == fixed
+            assert devrating.rating._fixed(values, pins, joints, rows, tol).tolist() == expected
 
 
 def test_retired_joints_leave_ratings_unchanged(monkeypatch):
@@ -483,7 +548,7 @@ def test_retired_joints_leave_ratings_unchanged(monkeypatch):
     face = [deviation_rating(games[0])]
     face_runs = len(columns)
     face += [deviation_rating(g) for g in games[1:]]
-    monkeypatch.setattr(devrating.rating._StageModel, "retire", lambda self, reduced: False)
+    monkeypatch.setattr(devrating.rating._StageModel, "retire", lambda self, reduced: None)
     columns.clear()
     full = [deviation_rating(games[0])]
     assert face_runs < len(columns)
@@ -505,7 +570,7 @@ def test_retire_keeps_every_joint_with_zero_reduced_cost():
     values = cce_constraint_matrix(game).values / game.payoff_spread()
     model = devrating.rating._StageModel(values, np.arange(values.shape[1]))
     x, objective, _, reduced = model.solve()
-    assert model.retire(reduced)
+    model.retire(reduced)
     tol = devrating.rating.PRICING_TOL
     assert np.array_equal(model.live, np.flatnonzero(reduced <= tol))
     assert 0 < model.live.size < values.shape[1]
@@ -522,29 +587,24 @@ def test_retire_keeps_every_joint_with_zero_reduced_cost():
 
 
 def test_span_shortcut_keeps_no_row_the_lp_test_releases(monkeypatch):
-    constant = devrating.rating._PinBasis.constant
+    calls = _span_test_calls(monkeypatch)
     tight_rows = devrating.rating._StageModel.tight_rows
-    fired, released = [], []
-
-    def recording_constant(self, rows, tol):
-        mask = constant(self, rows, tol)
-        fired.append(mask.any())
-        return mask
+    released = []
 
     def recording_tight_rows(self, band, *args):
         active = tight_rows(self, band, *args)
         released.append(len(active) < len(band))  # only the LP test releases a row
         return active
 
-    monkeypatch.setattr(devrating.rating._PinBasis, "constant", recording_constant)
     monkeypatch.setattr(devrating.rating._StageModel, "tight_rows", recording_tight_rows)
     deviation_rating(game_from_table_3p(_planted_table(31, 12, 4)))
-    assert any(fired)
+    assert any(mask.any() for site, mask in calls if site == "shortcut")
     released.clear()
     games = [_tied_property_game(k) for k in range(150)]
     shortcut = [deviation_rating(g) for g in games]
     assert any(released)
-    monkeypatch.setattr(devrating.rating._PinBasis, "constant", lambda self, rows, tol: np.zeros(len(rows), dtype=bool))
+    monkeypatch.undo()
+    _span_test_calls(monkeypatch, off="shortcut")
     for g, s in zip(games, shortcut):
         assert _freeze_sets(deviation_rating(g)) == _freeze_sets(s)
 
