@@ -18,7 +18,7 @@ import numpy as np
 
 from devrating.baselines import uniform_rating
 from devrating.examples import biased_shapley_base
-from devrating.gamify import dirichlet_mixtures, population_game
+from devrating.improve import dirichlet_mixtures, population_game
 from devrating.rating import deviation_rating
 
 DEFAULT_ALPHAS = ("1,1,1", "2,1,1", "1,3,1", "5,2,1", "1,1,4")

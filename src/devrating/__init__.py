@@ -71,13 +71,11 @@ from .baselines import (
 )
 from .gamify import (
     ScoreTable,
-    dirichlet_mixtures,
     game_from_table_2pzs,
     game_from_table_3p,
     load_score_table,
     normalize_per_task,
     pairwise_margins,
-    population_game,
     save_score_table,
 )
 from .analysis import (
@@ -94,8 +92,10 @@ from .improve import (
     LoopConfig,
     Population,
     Trajectory,
+    dirichlet_mixtures,
     lift_to_full,
     meta_game,
+    population_game,
     random_population,
     run_improvement_loop,
     save_trajectory,

@@ -140,6 +140,8 @@ def check_property(game: NormalFormGame, property_name: str, rater: Rater, seed:
             f"unknown property {property_name!r}; expected one of {PROPERTY_NAMES}"
         )
     tol = _DEFAULT_TOL[property_name] if tolerance is None else float(tolerance)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     rng = np.random.default_rng(seed)
     p = int(rng.integers(game.num_players))
     base = _ratings_of(rater, game)
@@ -158,57 +160,46 @@ def check_property(game: NormalFormGame, property_name: str, rater: Rater, seed:
         return PropertyReport("bounds", deviation <= tol, deviation, tol, seed, detail)
 
     i = int(rng.integers(game.shape[p]))
+    # the transformed game's ratings of the original strategies, and of
+    # the appended one for clone and mixture
+    expected, added = list(base), None
     if property_name == "clone":
         transformed = clone_strategy(game, p, i)
-        after = _ratings_of(rater, transformed)
-        deviation = max(
-            float(np.max(np.abs(after[q][: game.shape[q]] - base[q])))
-            for q in range(game.num_players)
-        )
-        deviation = max(deviation, abs(float(after[p][-1]) - float(base[p][i])))
+        added = float(base[p][i])
         detail = f"cloned ({game.players[p]}, {game.strategies[p][i]})"
     elif property_name == "mixture":
         weights = rng.dirichlet(np.ones(game.shape[p]))
         transformed = mix_strategy(game, p, weights)
-        after = _ratings_of(rater, transformed)
-        deviation = max(
-            float(np.max(np.abs(after[q][: game.shape[q]] - base[q])))
-            for q in range(game.num_players)
-        )
-        expected = float(weights @ base[p])
-        deviation = max(deviation, abs(float(after[p][-1]) - expected))
+        added = float(weights @ base[p])
         detail = f"mixed player {game.players[p]} with weights {np.round(weights, 4).tolist()}"
     elif property_name == "offset":
         neg_shape = tuple(n for q, n in enumerate(game.shape) if q != p)
         scale = max(1.0, game.payoff_spread())
         offset = OffsetSpec(p, rng.uniform(-scale, scale, neg_shape))
         transformed = apply_offset(game, offset)
-        after = _ratings_of(rater, transformed)
-        deviation = max(
-            float(np.max(np.abs(after[q] - base[q])))
-            for q in range(game.num_players)
-        )
         detail = f"offset player {game.players[p]} payoffs"
     elif property_name == "permutation":
         order = rng.permutation(game.shape[p])
         transformed = permute_strategies(game, p, order)
-        after = _ratings_of(rater, transformed)
-        deviation = 0.0
-        for q in range(game.num_players):
-            expected = base[q][order] if q == p else base[q]
-            deviation = max(deviation, float(np.max(np.abs(after[q] - expected))))
+        expected[p] = base[p][order]
         detail = f"permuted player {game.players[p]} with order {order.tolist()}"
     else:  # dominance
         gap = rng.uniform(0.05, 0.5, tuple(n for q, n in enumerate(game.shape) if q != p))
         slices = [np.take(g, i, axis=p) for g in game.payoffs]
         slices[p] = slices[p] - gap
         transformed = append_strategy(game, p, f"{game.strategies[p][i]}#dominated", slices)
-        after = _ratings_of(rater, transformed)
-        deviation = max(0.0, float(after[p][-1]) - float(after[p][i]))
         detail = (
             f"appended strategy dominated by ({game.players[p]}, "
             f"{game.strategies[p][i]})"
         )
+
+    after = _ratings_of(rater, transformed)
+    if property_name == "dominance":
+        deviation = max(0.0, float(after[p][-1]) - float(after[p][i]))
+    else:
+        deviation = max(float(np.max(np.abs(after[q][: e.size] - e))) for q, e in enumerate(expected))
+        if added is not None:
+            deviation = max(deviation, abs(float(after[p][-1]) - added))
 
     passed = deviation <= tol
     witness = None

@@ -368,6 +368,13 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="devrating",
@@ -402,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sim, output_default="simulate_out")
     sim.add_argument("--method", choices=("deviation", "uniform"), default="deviation")
     sim.add_argument("--iters", type=int, default=200)
-    sim.add_argument("--trials", type=int, default=1, help="number of seeds to run")
+    sim.add_argument("--trials", type=positive_int, default=1, help="number of seeds to run")
     sim.add_argument("--pop-size", type=int, default=8)
     sim.add_argument("--cull-fraction", type=float, default=0.25)
     sim.set_defaults(func=cmd_simulate)
@@ -412,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: the property's own); the ratings use the default solver tolerance")
     check.add_argument("--property", choices=PROPERTY_NAMES, required=True)
     check.add_argument("--method", choices=("deviation", "uniform"), default="deviation")
-    check.add_argument("--trials", type=int, default=100)
+    check.add_argument("--trials", type=positive_int, default=100)
     check.set_defaults(func=cmd_check)
 
     return parser

@@ -1,12 +1,12 @@
-"""Turning score tables and strategy populations into normal-form games.
+"""Turning score tables into normal-form games.
 
 A score table holds per-model, per-task scores.  Two constructions are
 provided: a three-player game (two symmetric model pickers plus a task
 picker who is paid the absolute score margin, i.e. rewarded for
 discriminating between the models) and a two-player zero-sum game (model
 picker vs. task picker, optionally on per-task min-max normalized
-scores).  A population of mixed strategies over a symmetric base game
-induces its own symmetric game via expected payoffs of the mixtures.
+scores).  Games induced by populations of mixed strategies are built in
+``devrating.improve``.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cce import JointDistribution
 from .games import GameValidationError, NormalFormGame, build_game
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "game_from_table_3p",
     "game_from_table_2pzs",
     "pairwise_margins",
-    "population_game",
-    "dirichlet_mixtures",
 ]
 
 
@@ -140,39 +137,3 @@ def pairwise_margins(table: ScoreTable) -> tuple[tuple[str, ...], np.ndarray]:
     s = table.scores
     margins = (s[:, None, :] - s[None, :, :]).mean(axis=2)
     return table.models, margins
-
-
-def population_game(base: NormalFormGame, mixtures, labels=None) -> NormalFormGame:
-    """Symmetric game induced by a population of mixed strategies.
-
-    ``base`` must be a symmetric two-player game (G2 == G1 transposed
-    within 1e-9); ``mixtures`` is a sequence of distributions over the
-    base strategies.  Entry (i, j) pays player 1 the expected base payoff
-    of mixture i against mixture j.
-    """
-    if base.num_players != 2:
-        raise GameValidationError("population game requires a two-player base")
-    g1, g2 = base.payoffs
-    if g1.shape[0] != g1.shape[1] or np.max(np.abs(g2 - g1.T)) > 1e-9:
-        raise GameValidationError(
-            "population game requires a symmetric base (G2 == G1 transposed)"
-        )
-    rows = [JointDistribution(np.asarray(m, dtype=np.float64)).probs for m in mixtures]
-    if any(r.size != g1.shape[0] for r in rows):
-        raise GameValidationError(
-            f"mixtures must have length {g1.shape[0]} (one weight per base strategy)"
-        )
-    x = np.vstack(rows)
-    if labels is None:
-        labels = tuple(f"mix-{i:02d}" for i in range(len(rows)))
-    p1 = x @ g1 @ x.T
-    p2 = x @ g2 @ x.T
-    return build_game(base.players, (tuple(labels), tuple(labels)), (p1, p2))
-
-
-def dirichlet_mixtures(rng: np.random.Generator, count: int, alpha) -> list[np.ndarray]:
-    """Draw ``count`` mixtures from a Dirichlet with concentration ``alpha``."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 1 or np.any(alpha <= 0):
-        raise GameValidationError("alpha must be a positive concentration vector")
-    return [rng.dirichlet(alpha) for _ in range(count)]

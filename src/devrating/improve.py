@@ -1,4 +1,5 @@
-"""Rating-driven population improvement loop on matrix games.
+"""Mixed-strategy populations, their meta-games, and the rating-driven
+improvement loop on matrix games.
 
 Each player keeps a population of K mixed strategies over the full
 game.  Every iteration builds the K^N meta-game of exact expected
@@ -6,7 +7,8 @@ payoffs, rates the members, culls the lowest-rated fraction per player
 (oldest first on ties), and refills with fresh Dirichlet(1, ..., 1)
 draws.  Progress is tracked by the full game's CCE gap at a joint
 distribution lifted from the meta level, plus the population-average
-payoff per player.
+payoff per player.  ``population_game`` is the meta-game of one
+population of mixtures held by both players of a symmetric base game.
 """
 from __future__ import annotations
 
@@ -25,6 +27,8 @@ __all__ = [
     "Population",
     "random_population",
     "meta_game",
+    "population_game",
+    "dirichlet_mixtures",
     "lift_to_full",
     "LoopConfig",
     "IterationRecord",
@@ -109,6 +113,16 @@ def _member_labels(size: int) -> tuple[str, ...]:
     return tuple(f"m{i:0{width}d}" for i in range(size))
 
 
+def _member_payoffs(g: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
+    """Expected payoff ``g`` at every tuple of members (``members[q]`` is
+    player q's K_q x |A_q| matrix); each contracted axis re-emerges, size
+    K_q, at the back, so after N rounds the axes are in player order."""
+    t = g
+    for m in members:
+        t = np.tensordot(t, m, axes=([0], [1]))
+    return t
+
+
 def meta_game(full: NormalFormGame, pop: Population) -> NormalFormGame:
     """Exact expected payoffs between population members.
 
@@ -124,16 +138,43 @@ def meta_game(full: NormalFormGame, pop: Population) -> NormalFormGame:
                 f"game has {full.shape[p]} strategies"
             )
     labels = _member_labels(pop.size)
-    tensors = []
-    for g in full.payoffs:
-        t = g
-        # Contract each strategy axis in turn against that player's member
-        # matrix; the contracted axis re-emerges (size K) at the back, so
-        # after N rounds the axes are back in player order.
-        for q in range(full.num_players):
-            t = np.tensordot(t, pop.members[q], axes=([0], [1]))
-        tensors.append(t)
+    tensors = [_member_payoffs(g, pop.members) for g in full.payoffs]
     return build_game(full.players, (labels,) * full.num_players, tensors)
+
+
+def population_game(base: NormalFormGame, mixtures, labels=None) -> NormalFormGame:
+    """Symmetric game induced by a population of mixed strategies.
+
+    ``base`` must be a symmetric two-player game (G2 == G1 transposed
+    within 1e-9); ``mixtures`` is a sequence of distributions over the
+    base strategies.  Entry (i, j) pays player 1 the expected base payoff
+    of mixture i against mixture j.
+    """
+    if base.num_players != 2:
+        raise GameValidationError("population game requires a two-player base")
+    g1, g2 = base.payoffs
+    if g1.shape[0] != g1.shape[1] or np.max(np.abs(g2 - g1.T)) > 1e-9:
+        raise GameValidationError(
+            "population game requires a symmetric base (G2 == G1 transposed)"
+        )
+    rows = [JointDistribution(np.asarray(m, dtype=np.float64)).probs for m in mixtures]
+    if any(r.size != g1.shape[0] for r in rows):
+        raise GameValidationError(
+            f"mixtures must have length {g1.shape[0]} (one weight per base strategy)"
+        )
+    x = np.vstack(rows)
+    if labels is None:
+        labels = tuple(f"mix-{i:02d}" for i in range(len(rows)))
+    tensors = [_member_payoffs(g, (x, x)) for g in base.payoffs]
+    return build_game(base.players, (tuple(labels), tuple(labels)), tensors)
+
+
+def dirichlet_mixtures(rng: np.random.Generator, count: int, alpha) -> list[np.ndarray]:
+    """Draw ``count`` mixtures from a Dirichlet with concentration ``alpha``."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim != 1 or np.any(alpha <= 0):
+        raise GameValidationError("alpha must be a positive concentration vector")
+    return list(rng.dirichlet(alpha, size=count))
 
 
 def lift_to_full(sigma_meta: JointDistribution, pop: Population, full: NormalFormGame | None = None) -> JointDistribution:
@@ -224,31 +265,20 @@ def run_improvement_loop(full: NormalFormGame, rater: str = "deviation", config:
         gap = cce_gap(full, lifted)
         avg = tuple(float(g.mean()) for g in meta.payoffs)
 
-        new_members, new_ids, new_born, culled = [], [], [], []
+        culled, kept = [], []
         for p in range(full.num_players):
-            born = np.array(pop.born[p])
-            order = np.lexsort((born, np.asarray(ratings[p])))
-            out = set(order[:n_cull].tolist())
-            culled.append(tuple(pop.ids[p][i] for i in sorted(out)))
-            members = pop.members[p].copy()
-            ids = list(pop.ids[p])
-            born_list = list(pop.born[p])
-            for i in sorted(out):
-                members[i] = rng.dirichlet(np.ones(full.shape[p]))
-                ids[i] = next_id
-                next_id += 1
-                born_list[i] = k + 1
-            new_members.append(members)
-            new_ids.append(tuple(ids))
-            new_born.append(tuple(born_list))
+            # lowest rated first, oldest first on ties; reseeded in index order
+            out = np.sort(np.lexsort((pop.born[p], ratings[p]))[:n_cull])
+            members, ids, born = pop.members[p].copy(), np.array(pop.ids[p]), np.array(pop.born[p])
+            culled.append(tuple(ids[out].tolist()))
+            members[out] = rng.dirichlet(np.ones(full.shape[p]), size=n_cull)
+            ids[out], born[out] = np.arange(next_id, next_id + n_cull), k + 1
+            next_id += n_cull
+            kept.append((members, tuple(ids.tolist()), tuple(born.tolist())))
 
         records.append(IterationRecord(k, gap, avg, tuple(culled)))
-        pop = Population(
-            members=tuple(new_members),
-            generation=k + 1,
-            ids=tuple(new_ids),
-            born=tuple(new_born),
-        )
+        members, ids, born = zip(*kept)
+        pop = Population(members=members, generation=k + 1, ids=ids, born=born)
 
     meta_info = {
         "rater": rater,

@@ -25,13 +25,14 @@ from devrating.baselines import nash_averaging_2pzs, uniform_rating
 from devrating.cce import verify_cce
 from devrating.examples import biased_shapley, biased_shapley_base
 from devrating.games import build_game, clone_strategy, random_game
-from devrating.gamify import (
-    ScoreTable,
+from devrating.gamify import ScoreTable, game_from_table_3p
+from devrating.improve import (
+    LoopConfig,
     dirichlet_mixtures,
-    game_from_table_3p,
     population_game,
+    run_improvement_loop,
+    save_trajectory,
 )
-from devrating.improve import LoopConfig, run_improvement_loop, save_trajectory
 from devrating.rating import deviation_rating, rating_certificate
 
 TABLE_RATING = -2720.0 / 964.0

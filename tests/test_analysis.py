@@ -154,6 +154,14 @@ def test_check_property_rejects_unknown_name():
         check_property(g, "sorcery", deviation_rating)
 
 
+def test_check_property_rejects_bad_tolerance():
+    g = random_game(np.random.default_rng(0), (2, 2))
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_property(g, "clone", deviation_rating, tolerance=tol)
+    assert check_property(g, "clone", deviation_rating, tolerance=0.0).tolerance == 0.0
+
+
 def test_uniform_rating_fails_clone_with_witness():
     # cloning shifts uniform averages whenever the cloned strategy's
     # interaction profile is non-uniform, so some seed must fail

@@ -190,6 +190,21 @@ def test_check_fixed_input_game(shapley_json):
                  "--method", "deviation", "--trials", "2", "--seed", "1"]) == 0
 
 
+def test_check_rejects_bad_tol_and_trials(tmp_path, capsys):
+    for tol in ("nan", "-1"):
+        assert main(["check", "--input", "shapley", "--property", "clone",
+                     "--trials", "2", "--tol", tol, "--output", str(tmp_path)]) == 2
+        assert "tolerance" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # no witness for a bad tolerance
+    for argv in (["check", "--input", "random:2x2", "--property", "clone", "--trials", "0"],
+                 ["simulate", "--input", "random:2x2", "--trials", "0", "--iters", "1",
+                  "--output", str(tmp_path / "sim")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--trials: must be at least 1" in capsys.readouterr().err
+
+
 def test_console_entry_point(shapley_json):
     proc = subprocess.run(
         [sys.executable, "-m", "devrating.cli", "rate", "--input", shapley_json],

@@ -4,15 +4,14 @@ import pytest
 from devrating.games import GameValidationError
 from devrating.gamify import (
     ScoreTable,
-    dirichlet_mixtures,
     game_from_table_2pzs,
     game_from_table_3p,
     load_score_table,
     normalize_per_task,
     pairwise_margins,
-    population_game,
     save_score_table,
 )
+from devrating.improve import Population, dirichlet_mixtures, meta_game, population_game
 from devrating.examples import (
     BIASED_SHAPLEY_EQUALIZER,
     biased_shapley,
@@ -109,6 +108,10 @@ def test_population_game_equalizer_member_matches_table():
     full = biased_shapley()
     assert np.max(np.abs(pg.payoffs[0] - full.payoffs[0])) < 1e-9
     assert np.max(np.abs(pg.payoffs[1] - full.payoffs[1])) < 1e-9
+    # a population game is the meta-game of both players holding the mixtures
+    x = np.vstack(mixtures)
+    meta = meta_game(base, Population((x, x)))
+    assert all(np.array_equal(a, b) for a, b in zip(pg.payoffs, meta.payoffs))
 
 
 def test_population_game_duplicate_members_are_clones():

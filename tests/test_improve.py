@@ -3,6 +3,7 @@ import pytest
 
 from devrating.cce import JointDistribution, cce_gap
 from devrating.games import GameValidationError, random_game
+from devrating import improve
 from devrating.improve import (
     ImprovementLoopError,
     LoopConfig,
@@ -127,18 +128,42 @@ def test_loop_determinism_and_records():
         assert all(len(ids) == 2 for ids in rec.culled)  # quarter of 8
 
 
-def test_loop_culls_lowest_rated_oldest_first():
+def test_loop_culls_lowest_rated_oldest_first(monkeypatch):
+    # population 8 culls 2 members per player; the reference reseeds one
+    # culled member at a time, in index order
     g = random_game(np.random.default_rng(13), (3, 3))
-    cfg = LoopConfig(iterations=1, population_size=4, seed=5)
+    cfg = LoopConfig(iterations=3, population_size=8, seed=5)
+    seen = []
+
+    def recording_meta_game(full, pop):
+        seen.append(pop)
+        return meta_game(full, pop)
+
+    monkeypatch.setattr(improve, "meta_game", recording_meta_game)
     trajectory = run_improvement_loop(g, "deviation", cfg)
     rng = np.random.default_rng(5)
-    pop = random_population(g, 4, rng)
-    res = deviation_rating(meta_game(g, pop))
-    for p in range(2):
-        culled = trajectory.records[0].culled[p]
-        assert len(culled) == 1
-        worst = int(np.argmin(res.ratings[p]))
-        assert culled[0] == pop.ids[p][worst]
+    pop = random_population(g, 8, rng)
+    next_id = 8
+    for k, record in enumerate(trajectory.records):
+        got = seen[k]
+        assert got.ids == pop.ids and got.born == pop.born
+        assert all(type(v) is int for t in got.ids + got.born for v in t)
+        assert all(np.array_equal(a, b) for a, b in zip(got.members, pop.members))
+        res = deviation_rating(meta_game(g, pop))
+        members, ids, born = [], [], []
+        for p in range(2):
+            ranked = sorted(range(8), key=lambda i: (res.ratings[p][i], pop.born[p][i]))
+            out = sorted(ranked[:2])
+            assert record.culled[p] == tuple(pop.ids[p][i] for i in out)
+            m, pid, pborn = pop.members[p].copy(), list(pop.ids[p]), list(pop.born[p])
+            for i in out:
+                m[i] = rng.dirichlet(np.ones(3))
+                pid[i], pborn[i] = next_id, k + 1
+                next_id += 1
+            members.append(m)
+            ids.append(tuple(pid))
+            born.append(tuple(pborn))
+        pop = Population(tuple(members), k + 1, tuple(ids), tuple(born))
 
 
 def test_loop_rejects_unknown_rater():

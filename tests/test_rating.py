@@ -72,6 +72,7 @@ def test_biased_shapley_certificate():
     res = deviation_rating(game)
     cert = rating_certificate(game, res)
     assert cert.ok()
+    assert cert.epsilon == verify_cce(game, res.equilibrium).worst_gain
     assert cert.epsilon <= 1e-7
     assert cert.max_gain_error <= 1e-6
     assert cert.objectives_non_increasing
