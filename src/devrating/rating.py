@@ -35,10 +35,10 @@ Each stage LP has one row per (player, strategy) but one column per
 joint profile, so it is solved over a working set of joint columns (a
 restricted master LP).  The set starts as the ``WORKING_SET_PER_ROW``
 times num_rows joints whose largest constraint value is smallest.  After
-each solve every live joint is priced with one product of the row duals
-with the constraint matrix; up to ``PRICING_BATCH_PER_ROW`` times
-num_rows joints whose reduced cost is below ``-PRICING_TOL`` join the
-set and the LP is solved again.  A solve ends when no joint outside the
+each solve every live joint is priced: the product of the row duals with
+the constraint matrix; up to ``PRICING_BATCH_PER_ROW`` times num_rows
+joints whose reduced cost is below ``-PRICING_TOL`` join the set and the
+LP is solved again.  A solve ends when no joint outside the
 set prices negative, so its optimum is that of the LP over all joints.
 The set only grows, so the previous stage's solution stays feasible.  A
 game with no more joints than the initial width is solved over every
@@ -51,7 +51,7 @@ reduced cost at a stage LP's duals is above ``PRICING_TOL`` is 0 at
 every optimum of that stage and of every later one, by the same
 complementary slackness that makes a row with a nonzero dual tight.
 Such a joint retires for the rest of the rating: pricing skips it, and
-its working-set column, nonbasic at 0, is bounded above by 0, which
+its working-set column, nonbasic at 0, is deleted from the model, which
 keeps the basis valid.  Every later solve, tightness test and span test
 runs on the joints still live.
 
@@ -76,19 +76,27 @@ through the task marginal, and a 16-row 8×8 meta-game of a 3×3 game has
 rank 6.
 
 Every LP of a rating is solved on one HiGHS model, changed in place:
-pricing adds columns, retiring a joint bounds its column, freezing a row
+pricing adds columns, retiring a joint deletes its column, freezing a row
 changes its coefficient on t and its bound, and the tightness test
 changes the costs and the bounds of t.  HiGHS keeps its basis across
 these changes, so every solve after the first starts from the previous
 optimum, which skips presolve.  The first solve does not presolve
 either: it is over the small initial working set, where presolve costs
 more than it saves.  A solve that is not optimal, or whose solution
-misses its constraints, raises a typed ``RatingError``.
+misses its constraints, raises a typed ``RatingError``.  Each thread
+keeps one silent HiGHS solver and empties it for every rating.
 
 Constraints are divided by the game's payoff spread before solving and
 results are scaled back; the factor is global, so exact cross-player ties
-survive.  ``rate_reduced`` runs the same loop on the constraint system
-with duplicate joint columns merged.
+survive.  The constraint matrix (rows times joints) is never formed: the
+engine reads it through the payoff tensors.  Row (p, a') at joint a is
+G_p(a', a_-p) - G_p(a) = e_p(a) - e_p(a', a_-p), where
+e_p(a) = max_b G_p(b, a_-p) - G_p(a) is also the largest value of player
+p's rows at a.  A block of columns is gathered from the tensors, pricing
+all joints takes one contraction of e_p per player, and once a joint has
+retired the live joints are few enough to keep as one dense block.
+``rate_reduced`` runs the same loop on the first joint of each group of
+duplicate joint columns and spreads the equilibrium over each group.
 
 Ratings are invariant to cloning, payoff offsets, and strategy
 relabeling, and never exceed 0.  They are invariant to mixing on generic
@@ -97,6 +105,7 @@ tight at every optimum, and so the ratings.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -235,6 +244,69 @@ class RatingResult:
         }
 
 
+class _Constraints:
+    """The deviation constraint matrix of a game divided by its payoff
+    spread, read from the payoff tensors and never formed.
+
+    Rows are (player, strategy) pairs in ``cce_constraint_matrix`` order
+    and columns are joints in flat row-major order.  Row (p, a') at joint
+    a is G_p(a', a_-p) - G_p(a); ``_excess[p]`` is e_p(a) =
+    max_b G_p(b, a_-p) - G_p(a), the largest of player p's rows at a,
+    divided by the spread."""
+
+    def __init__(self, game: NormalFormGame):
+        shape = game.shape
+        self.spread = game.payoff_spread() or 1.0
+        self.num_rows = sum(shape)
+        self.num_joints = game.num_joints
+        self._shape = shape
+        self._excess = [(g.max(axis=p, keepdims=True) - g) / self.spread for p, g in enumerate(game.payoffs)]
+        # each player's e_p with its own axis first, built on first use:
+        # a rating whose working set holds every joint never prices here
+        self._views = None
+        # per row: where its player's payoffs start in ``_flat``, the
+        # stride and size of that player's axis, and the row's strategy
+        # times that stride
+        self._flat = np.concatenate([g.ravel() for g in game.payoffs])
+        player = np.repeat(np.arange(len(shape)), shape)
+        strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+        self._start = (player * self.num_joints)[:, None]
+        self._stride = strides[player][:, None]
+        self._size = np.asarray(shape)[player][:, None]
+        self._move = np.concatenate([np.arange(n) for n in shape])[:, None] * self._stride
+
+    def joint_max(self) -> np.ndarray:
+        """The largest constraint value at each joint."""
+        return np.maximum.reduce([e.ravel() for e in self._excess])
+
+    def zero_rows(self) -> np.ndarray:
+        """The rows that are zero at every joint: all of a player's rows
+        are, exactly when its payoffs do not depend on its own strategy."""
+        return np.repeat([not e.any() for e in self._excess], self._shape)
+
+    def columns(self, joints: np.ndarray) -> np.ndarray:
+        """The columns of ``joints``: entry ((p, a'), j) is
+        flat_p[j + (a' - a_p(j)) * stride_p] - flat_p[j], divided by the
+        spread, as ``cce_constraint_matrix`` computes it."""
+        at = self._start + joints
+        own = joints // self._stride % self._size * self._stride
+        return (self._flat[at + self._move - own] - self._flat[at]) / self.spread
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        """``y`` times the matrix, over every joint: per player,
+        sum(y_p) e_p(a) - sum_a' y_p,a' e_p(a', a_-p)."""
+        if self._views is None:
+            self._views = [np.moveaxis(e, p, 0).reshape(e.shape[p], -1) for p, e in enumerate(self._excess)]
+        total = np.zeros(self._shape)
+        start = 0
+        for p, (e, view) in enumerate(zip(self._excess, self._views)):
+            y_p = y[start : start + e.shape[p]]
+            start += e.shape[p]
+            total += y_p.sum() * e
+            total -= np.expand_dims((y_p @ view).reshape(self._shape[:p] + self._shape[p + 1 :]), p)
+        return total.ravel()
+
+
 def _new_highs() -> _Highs:
     """A silent HiGHS solver that never presolves: every solve but the
     first starts from the previous basis, which skips presolve, and on the
@@ -249,29 +321,44 @@ def _new_highs() -> _Highs:
     return highs
 
 
+_thread = threading.local()
+
+
+def _thread_highs() -> _Highs:
+    """The calling thread's solver from ``_new_highs``, emptied of the
+    last rating's model; ``clearModel`` keeps the options and costs far
+    less than a new solver."""
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        highs = _thread.highs = _new_highs()
+    else:
+        highs.clearModel()
+    return highs
+
+
 class _StageModel:
     """The one HiGHS model of a rating, changed in place between solves so
     that HiGHS keeps its basis.
 
     Column 0 is t and the others are the ``working`` joints, in the order
-    they joined.  Row i is constraint row i, ``values[i] @ sigma - t <= 0``
-    while unfrozen and ``values[i] @ sigma <= r`` once frozen at r; the
-    last row is the simplex row.  The cost of t is 1 and the cost of a
-    joint column is ``weights @ values`` at that joint: zero for a stage
-    LP, the indicator of the rows whose sum ``tight_rows`` minimizes.
-    ``live`` lists the joints not retired, in joint order; a retired
-    working-set column has upper bound 0."""
+    they joined; ``working_values`` holds their constraint columns.  Row i
+    is constraint row i, A_i @ sigma - t <= 0 while unfrozen and
+    A_i @ sigma <= r once frozen at r; the last row is the simplex row.
+    The cost of t is 1 and the cost of a joint column is ``weights @ A``
+    at that joint: zero for a stage LP, the indicator of the rows whose
+    sum ``tight_rows`` minimizes.  ``live`` lists the joints not retired,
+    in joint order; a retired working-set column is deleted."""
 
-    def __init__(self, values: np.ndarray, working: np.ndarray):
-        num_rows = values.shape[0]
-        self._values = values
-        self._highs = _new_highs()
+    def __init__(self, constraints: _Constraints, working: np.ndarray, live: np.ndarray):
+        num_rows = constraints.num_rows
+        self._constraints = constraints
+        self._highs = _thread_highs()
         self._weights = np.zeros(num_rows)
         self._upper = np.zeros(num_rows)
         self.working = np.empty(0, dtype=int)
-        self.live = np.arange(values.shape[1])
-        self._live_values = values
-        self._column = np.zeros(values.shape[1], dtype=np.int32)  # model column of a working joint, else 0
+        self.working_values = np.empty((num_rows, 0))
+        self._in_working = np.zeros(constraints.num_joints, dtype=bool)
+        self.live = live
         self.frozen: dict[int, float] = {}
         self._check(self._highs.addRows(
             num_rows + 1,
@@ -287,6 +374,10 @@ class _StageModel:
             num_rows, np.zeros(1, dtype=np.int32), np.arange(num_rows, dtype=np.int32), np.full(num_rows, -1.0),
         ))
         self._add(working)
+        # the columns of the live joints, in ``live`` order: those of the
+        # working set when it holds every live joint; else built when a
+        # joint first retires, and until then pricing contracts the tensors
+        self._live_values = self.working_values if working.size == live.size else None
 
     def _check(self, status: HighsStatus) -> None:
         if status == HighsStatus.kError:
@@ -298,11 +389,12 @@ class _StageModel:
     def _add(self, joints: np.ndarray) -> None:
         """Append ``joints`` as columns: their constraint values and a 1 in
         the simplex row, compressed with zeros dropped."""
-        block = np.vstack((self._values[:, joints], np.ones(joints.size)))
+        values = self._constraints.columns(joints)
+        block = np.vstack((values, np.ones(joints.size)))
         cols, index = np.nonzero(block.T)
         self._check(self._highs.addCols(
             joints.size,
-            self._weights @ block[:-1],
+            self._weights @ values,
             np.zeros(joints.size),
             np.full(joints.size, kHighsInf),
             index.size,
@@ -310,18 +402,23 @@ class _StageModel:
             index.astype(np.int32),
             block[index, cols],
         ))
-        self._column[joints] = np.arange(self.working.size + 1, self.working.size + joints.size + 1)
+        self._in_working[joints] = True
         self.working = np.concatenate((self.working, joints))
+        self.working_values = np.hstack((self.working_values, values))
+
+    def live_values(self) -> np.ndarray:
+        """The constraint columns of the live joints, in ``live`` order."""
+        if self._live_values is None:
+            self._live_values = self._constraints.columns(self.live)
+        return self._live_values
 
     def _set_weights(self, weights: np.ndarray) -> None:
         self._weights = weights
         size = self.working.size
-        self._check(self._highs.changeColsCost(
-            size, np.arange(1, size + 1, dtype=np.int32), weights @ self._values[:, self.working]
-        ))
+        self._check(self._highs.changeColsCost(size, np.arange(1, size + 1, dtype=np.int32), weights @ self.working_values))
 
     def freeze(self, rows, bounds) -> None:
-        """Turn each of ``rows`` into ``values[i] @ sigma <= bound``."""
+        """Turn each of ``rows`` into ``A_i @ sigma <= bound``."""
         for i, bound in zip(rows, bounds):
             self._highs.changeCoeff(int(i), 0, 0.0)
             self._highs.changeRowBounds(int(i), -kHighsInf, float(bound))
@@ -331,16 +428,19 @@ class _StageModel:
         """Retire the live joints whose reduced cost ``reduced`` (in
         ``live`` order, at a stage LP optimum) is above ``PRICING_TOL``:
         each is 0 at every optimum of that stage, and so of every later
-        one.  A retired working-set column is nonbasic at 0, so bounding
-        it above by 0 keeps the basis valid."""
+        one.  A retired working-set column is nonbasic at 0, so deleting
+        it keeps the basis valid."""
         dead = reduced > PRICING_TOL
         if not dead.any():
             return
-        cols = self._column[self.live[dead]]
-        cols = cols[cols > 0]
-        self._check(self._highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), np.zeros(cols.size)))
+        gone = np.isin(self.working, self.live[dead], assume_unique=True)
+        if gone.any():
+            cols = np.flatnonzero(gone).astype(np.int32) + 1
+            self._check(self._highs.deleteCols(cols.size, cols))
+            self.working = self.working[~gone]
+            self.working_values = self.working_values[:, ~gone]
         self.live = self.live[~dead]
-        self._live_values = self._values[:, self.live]
+        self._live_values = self._constraints.columns(self.live) if self._live_values is None else self._live_values[:, ~dead]
 
     def _run(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Solve the model as it stands.  Returns (raw sigma over the
@@ -383,13 +483,15 @@ class _StageModel:
         cost -(row duals @ column) - simplex dual of every live joint."""
         while True:
             x, objective, row_dual = self._run()
-            reduced = -((row_dual[:-1] - self._weights) @ self._live_values) - row_dual[-1]
-            entering = np.flatnonzero((reduced < -PRICING_TOL) & (self._column[self.live] == 0))
+            y = row_dual[:-1] - self._weights
+            priced = self._constraints.price(y)[self.live] if self._live_values is None else y @ self._live_values
+            reduced = -priced - row_dual[-1]
+            entering = np.flatnonzero((reduced < -PRICING_TOL) & ~self._in_working[self.live])
             if not entering.size:
                 return x, objective, row_dual, reduced
             # most negative first, at most PRICING_BATCH_PER_ROW per constraint row
             order = np.argsort(reduced[entering], kind="stable")
-            self._add(self.live[entering[order[: PRICING_BATCH_PER_ROW * self._values.shape[0]]]])
+            self._add(self.live[entering[order[: PRICING_BATCH_PER_ROW * self._constraints.num_rows]]])
 
     def tight_rows(self, band: Sequence[int], objective: float, row_dual: np.ndarray, tol: float) -> tuple[int, ...]:
         """The rows of ``band`` that are tight at every optimum of the stage
@@ -407,20 +509,20 @@ class _StageModel:
         tight = np.abs(row_dual[band]) > PRICING_TOL
         if not tight.all():
             pins = [*self.frozen, *band[tight].tolist()]
-            tight[~tight] = _fixed(self._values, pins, self.live, band[~tight], FIXED_GAIN_TOL * tol)
+            tight[~tight] = _fixed(self.live_values(), pins, band[~tight], FIXED_GAIN_TOL * tol)
         candidates = band[~tight]
         if candidates.size:
             self._highs.changeColBounds(0, objective, objective)
             while candidates.size:
-                weights = np.zeros(self._values.shape[0])
+                weights = np.zeros(self._constraints.num_rows)
                 weights[candidates] = 1.0
                 self._set_weights(weights)
                 x = self.solve()[0]
-                kept = self._values[candidates][:, self.working] @ x >= objective - tol
+                kept = self.working_values[candidates] @ x >= objective - tol
                 if kept.all():
                     break
                 candidates = candidates[kept]
-            self._set_weights(np.zeros(self._values.shape[0]))
+            self._set_weights(np.zeros(self._constraints.num_rows))
             self._highs.changeColBounds(0, -kHighsInf, kHighsInf)
         return tuple(sorted(band[tight].tolist() + candidates.tolist()))
 
@@ -471,22 +573,22 @@ def _tail_stages(gains: np.ndarray, rows: Sequence[int], tol: float) -> list[tup
     return stages
 
 
-def _fixed(values: np.ndarray, pins: Sequence[int], live: np.ndarray, rows: Sequence[int], tol: float) -> np.ndarray:
-    """Which of ``rows`` the ``pins`` fix on the ``live`` joints, as a
-    boolean mask: which lie in the span of the pins and the simplex row
-    there, up to a residual whose max minus min is at most ``tol``.  That
-    spread bounds how far the row's gain can move over the distributions
-    on the live joints that meet the pins.
+def _fixed(values: np.ndarray, pins: Sequence[int], rows: Sequence[int], tol: float) -> np.ndarray:
+    """Which of ``rows`` the ``pins`` fix on the joints whose columns
+    ``values`` holds, as a boolean mask: which lie in the span of the pins
+    and the simplex row there, up to a residual whose max minus min is at
+    most ``tol``.  That spread bounds how far the row's gain can move over
+    the distributions on those joints that meet the pins.
 
     The span gets an orthonormal basis by Gram-Schmidt, the simplex row
     first and then each pin in order.  A pin joins only if its residual
     outside the basis is not negligible against its norm, a rank-revealing
-    step: pins that are zero, repeated, or dependent on the live joints
-    drop out."""
-    q = np.empty((len(pins) + 1, live.size))
-    q[0] = live.size**-0.5
+    step: pins that are zero, repeated, or dependent on these joints drop
+    out."""
+    q = np.empty((len(pins) + 1, values.shape[1]))
+    q[0] = values.shape[1] ** -0.5
     rank = 1
-    for vector in values[np.ix_(pins, live)]:
+    for vector in values[pins]:
         basis = q[:rank]
         # two passes, so the residual is orthogonal to the basis
         v = vector - (basis @ vector) @ basis
@@ -496,39 +598,40 @@ def _fixed(values: np.ndarray, pins: Sequence[int], live: np.ndarray, rows: Sequ
             q[rank] = v / residual
             rank += 1
     basis = q[:rank]
-    r = values[np.ix_(rows, live)]
+    r = values[rows]
     r -= (r @ basis.T) @ basis
     return r.max(axis=1) - r.min(axis=1) <= tol
 
 
 def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraintSystem | None = None) -> RatingResult:
-    """Run the freezing loop on the constraint matrix of ``game``, or on
-    ``reduced``, its deduplicated form, whose equilibrium is expanded
-    back to the full joint space."""
-    matrix = cce_constraint_matrix(game) if reduced is None else reduced.matrix
-    factor = game.payoff_spread() or 1.0
-    values = matrix.values / factor
-    num_rows, num_joints = values.shape
-    labels = [(game.players[p], game.strategies[p][i]) for p, i in matrix.row_keys]
-    del matrix  # keep one dense copy of the constraints for the rating
+    """Run the freezing loop on the constraints of ``game``, over every
+    joint, or over the first joint of each group of ``reduced``, the
+    deduplicated system, whose equilibrium is spread over each group."""
+    constraints = _Constraints(game)
+    factor = constraints.spread
+    num_rows, num_joints = constraints.num_rows, constraints.num_joints
+    labels = [(game.players[p], s) for p, names in enumerate(game.strategies) for s in names]
+    live = np.arange(num_joints) if reduced is None else np.array([group[0] for group in reduced.column_groups])
     log: list[FreezeRecord] = []
 
     def record(stage: int, rows: tuple[int, ...], objective: float) -> None:
         log.append(FreezeRecord(stage, tuple(labels[i] for i in rows), objective * factor))
 
-    # the joints whose largest constraint value is smallest, in column order
-    model = _StageModel(values, np.sort(np.argsort(values.max(axis=0), kind="stable")[: WORKING_SET_PER_ROW * num_rows]))
-    zero_rows = tuple(int(i) for i in np.flatnonzero(~values.any(axis=1)))
+    # the joints whose largest constraint value is smallest, in joint order
+    order = np.argsort(constraints.joint_max()[live], kind="stable")
+    model = _StageModel(constraints, np.sort(live[order[: WORKING_SET_PER_ROW * num_rows]]), live)
+    zero_rows = tuple(np.flatnonzero(constraints.zero_rows()).tolist())
     if zero_rows:
         model.freeze(zero_rows, np.zeros(len(zero_rows)))
         record(0, zero_rows, 0.0)
 
-    sigma = np.full(num_joints, 1.0 / num_joints)
+    sigma = np.zeros(num_joints)
+    sigma[live] = 1.0 / live.size
     stage = 0
     while len(model.frozen) < num_rows:
         frozen = frozenset(model.frozen)
         unfrozen = [i for i in range(num_rows) if i not in frozen]
-        if stage and _fixed(values, list(model.frozen), model.live, unfrozen, FIXED_GAIN_TOL * config.active_tol).all():
+        if stage and _fixed(model.live_values(), list(model.frozen), unfrozen, FIXED_GAIN_TOL * config.active_tol).all():
             # every distribution that meets the frozen rows gives each
             # unfrozen row the same gain, so the gains of the last LP
             # solution stand for all; a row found fixed stays fixed, so no
@@ -545,9 +648,10 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
                 f"exceeded stage budget {num_rows} with {num_rows - len(model.frozen)} rows left"
             )
         sigma_raw, objective, row_dual, reduced_costs = model.solve()
+        sigma_working = _sanitize(sigma_raw)
+        gains = model.working_values @ sigma_working
         sigma = np.zeros(num_joints)
-        sigma[model.working] = _sanitize(sigma_raw)
-        gains = values @ sigma
+        sigma[model.working] = sigma_working
         # every later stage's optima lie on this stage's optimal face
         model.retire(reduced_costs)
         band = detect_active(gains, objective, config=config, frozen=frozen)
@@ -561,7 +665,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
         players=game.players,
         strategies=game.strategies,
         ratings=tuple(np.split(scaled, np.cumsum(game.shape)[:-1])),
-        equilibrium=JointDistribution(sigma if reduced is None else reduced.expand(sigma)),
+        equilibrium=JointDistribution(sigma if reduced is None else reduced.expand(sigma[live])),
         freeze_log=tuple(log),
         stage_count=stage,
     )

@@ -1,7 +1,10 @@
 import ast
 import functools
+import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -300,9 +303,9 @@ def _planted_table(seed: int, models: int, tasks: int, copies: int = 2) -> Score
 
 
 def _wrap_highs(monkeypatch, **methods) -> None:
-    """Make every HiGHS solver the engine creates call
+    """Make every HiGHS solver the engine takes call
     ``methods[name](highs, *args)`` in place of its own method ``name``."""
-    original = devrating.rating._new_highs
+    original = devrating.rating._thread_highs
 
     class Wrapped:
         def __init__(self):
@@ -313,7 +316,7 @@ def _wrap_highs(monkeypatch, **methods) -> None:
                 return functools.partial(methods[name], self._highs)
             return getattr(self._highs, name)
 
-    monkeypatch.setattr(devrating.rating, "_new_highs", Wrapped)
+    monkeypatch.setattr(devrating.rating, "_thread_highs", Wrapped)
 
 
 def _counting_solves(monkeypatch) -> list[int]:
@@ -452,9 +455,9 @@ def _span_test_calls(monkeypatch, off: str | None = None) -> list[tuple[str, np.
         finally:
             inside.pop()
 
-    def recording(values, pins, live, rows, tol):
+    def recording(values, pins, rows, tol):
         site = "shortcut" if inside else "tail"
-        mask = np.zeros(len(rows), dtype=bool) if site == off else fixed(values, pins, live, rows, tol)
+        mask = np.zeros(len(rows), dtype=bool) if site == off else fixed(values, pins, rows, tol)
         calls.append((site, mask))
         return mask
 
@@ -503,7 +506,7 @@ def test_lp_free_stages_match_lp_path(monkeypatch):
     values[4] = values[3]
     values[4, 7] += 1e-6  # just outside it
     tol = devrating.rating.FIXED_GAIN_TOL * SolverConfig().active_tol
-    mask = devrating.rating._fixed(values, [0, 1], np.arange(12), [2, 3, 4], tol)
+    mask = devrating.rating._fixed(values, [0, 1], [2, 3, 4], tol)
     assert mask.tolist() == [False, True, False]
 
 
@@ -540,7 +543,7 @@ def test_span_test_drops_dependent_pins_like_lstsq():
         for pins in ([0, 1], [0, 1, 2], [0, 3, 1], [4, 0, 1], [0, 5, 1], [6, 0, 6, 1, 2, 3, 4, 5, 0]):
             expected = _lstsq_fixed(values, pins, joints, rows, tol)
             assert expected == fixed
-            assert devrating.rating._fixed(values, pins, joints, rows, tol).tolist() == expected
+            assert devrating.rating._fixed(values[:, joints], pins, rows, tol).tolist() == expected
 
 
 def test_retired_joints_leave_ratings_unchanged(monkeypatch):
@@ -569,15 +572,17 @@ def test_retire_keeps_every_joint_with_zero_reduced_cost():
     # the support whose model is a copy has a twin with the same reduced cost
     game = game_from_table_3p(_planted_table(31, 12, 4))
     values = cce_constraint_matrix(game).values / game.payoff_spread()
-    model = devrating.rating._StageModel(values, np.arange(values.shape[1]))
+    joints = np.arange(values.shape[1])
+    model = devrating.rating._StageModel(devrating.rating._Constraints(game), joints, joints)
     x, objective, _, reduced = model.solve()
+    support = model.working[x > 0]
     model.retire(reduced)
     tol = devrating.rating.PRICING_TOL
     assert np.array_equal(model.live, np.flatnonzero(reduced <= tol))
     assert 0 < model.live.size < values.shape[1]
     twins = [
         k
-        for j in model.working[x > 0]
+        for j in support
         for k in np.flatnonzero((values == values[:, [j]]).all(axis=0))
         if k != j
     ]
@@ -662,8 +667,10 @@ def test_direct_attempt_failing_the_residual_check_raises(monkeypatch):
 
 def test_infeasible_stage_lp_reports_model_status_and_pins():
     # no distribution meets row 0 of the prisoner's dilemma frozen below its smallest value
-    values = cce_constraint_matrix(prisoners_dilemma()).values
-    model = devrating.rating._StageModel(values, np.arange(values.shape[1]))
+    game = prisoners_dilemma()
+    values = cce_constraint_matrix(game).values / game.payoff_spread()
+    joints = np.arange(values.shape[1])
+    model = devrating.rating._StageModel(devrating.rating._Constraints(game), joints, joints)
     bound = float(values[0].min()) - 1.0
     model.freeze([0], [bound])
     with pytest.raises(RatingInfeasibleError) as err:
@@ -673,14 +680,13 @@ def test_infeasible_stage_lp_reports_model_status_and_pins():
 
 
 def test_non_optimal_stage_lp_raises_with_model_status(monkeypatch):
-    original = devrating.rating._new_highs
-
     def no_iterations():
-        highs = original()
+        # a solver of its own, so the limit stays out of the thread's solver
+        highs = devrating.rating._new_highs()
         highs.setOptionValue("simplex_iteration_limit", 0)
         return highs
 
-    monkeypatch.setattr(devrating.rating, "_new_highs", no_iterations)
+    monkeypatch.setattr(devrating.rating, "_thread_highs", no_iterations)
     with pytest.raises(RatingError, match="Iteration limit reached") as err:
         deviation_rating(game_from_table_3p(_planted_table(31, 12, 4)))
     assert not isinstance(err.value, RatingInfeasibleError)
@@ -714,7 +720,7 @@ def test_highs_binds_every_method_the_engine_calls():
         and isinstance(node.func, ast.Attribute)
         and ast.unparse(node.func.value) in ("highs", "self._highs")
     }
-    assert {"run", "addCols", "changeCoeff", "changeRowBounds", "changeColBounds", "changeColsBounds", "changeColsCost", "getSolution"} <= called
+    assert {"run", "addCols", "changeCoeff", "changeRowBounds", "changeColBounds", "deleteCols", "changeColsCost", "getSolution"} <= called
     assert [name for name in sorted(called) if not hasattr(_Highs, name)] == []
 
 
@@ -730,3 +736,127 @@ def test_missing_highs_bindings_name_the_required_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode != 0
     assert "ImportError: devrating needs scipy>=1.15.0" in proc.stderr
+
+
+def _operator_games() -> list:
+    """Games of 2-4 players at mixed payoff scales, among them players
+    with one strategy and players whose payoffs ignore their own strategy,
+    whose rows are all zero."""
+    rng = np.random.default_rng(55)
+    games = []
+    for shape in ((2, 3), (3, 1, 4), (2, 2, 3, 2), (4, 3, 2), (1, 5)):
+        payoffs = [rng.normal(size=shape) * 10.0 ** int(rng.integers(-3, 3)) for _ in shape]
+        payoffs[-1] = np.broadcast_to(np.take(payoffs[-1], [0], axis=len(shape) - 1), shape)
+        games.append(build_game(
+            [f"p{i}" for i in range(len(shape))], [[f"s{j}" for j in range(n)] for n in shape], payoffs
+        ))
+    return games
+
+
+def test_constraint_operator_matches_dense_matrix():
+    rng = np.random.default_rng(56)
+    zero = []
+    for game in _operator_games():
+        values = cce_constraint_matrix(game).values / game.payoff_spread()
+        constraints = devrating.rating._Constraints(game)
+        subset = rng.permutation(game.num_joints)[: max(1, game.num_joints // 2)]
+        assert np.array_equal(constraints.columns(np.arange(game.num_joints)), values)
+        assert np.array_equal(constraints.columns(subset), values[:, subset])
+        assert np.array_equal(constraints.zero_rows(), ~values.any(axis=1))
+        zero.append(constraints.zero_rows().any())
+        assert np.max(np.abs(constraints.joint_max() - values.max(axis=0))) <= 1e-12
+        for y in (rng.normal(size=values.shape[0]), rng.uniform(size=values.shape[0])):
+            assert np.max(np.abs(constraints.price(y) - y @ values)) <= 1e-12
+    assert all(zero)
+
+
+def test_rating_never_forms_the_constraint_matrix(monkeypatch):
+    # criterion 10's table; its dense constraint matrix takes 94 MB
+    game = game_from_table_3p(_planted_table(2024, 66, 18, copies=4))
+    dense = sum(game.shape) * game.num_joints * 8
+
+    def forbidden(game):
+        raise AssertionError("deviation_rating built the dense constraint matrix")
+
+    monkeypatch.setattr(devrating.rating, "cce_constraint_matrix", forbidden)
+    tracemalloc.start()
+    try:
+        result = deviation_rating(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.stage_count == 51
+    assert peak < dense / 4
+
+
+def test_thread_solver_reuse_leaves_ratings_bitwise():
+    assert devrating.rating._thread_highs() is devrating.rating._thread_highs()
+    table = game_from_table_3p(_planted_table(31, 12, 4))
+    before = [game_from_table_3p(_planted_table(32, 12, 4)), _tied_game(np.random.default_rng((4444, 0)), (4, 4, 4)), _discrete_game(2)]
+    results = {}
+
+    def rate(name, games):
+        results[name] = [deviation_rating(g) for g in games][-1]
+
+    # a new thread starts with a solver of its own
+    for name, games in (("first", [table]), ("after", [*before, table])):
+        thread = threading.Thread(target=rate, args=(name, games))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    first, after = results["first"], results["after"]
+    assert first.freeze_log == after.freeze_log and first.stage_count == after.stage_count
+    assert all(np.array_equal(x, y) for x, y in zip(first.ratings, after.ratings))
+    assert np.array_equal(first.equilibrium.probs, after.equilibrium.probs)
+
+
+def test_mixed_payoff_scales_keep_oracle_and_certificates():
+    # HiGHS scales the stage LPs; without that, a player whose payoffs are
+    # far smaller than the others' gets wrong ratings
+    for scale in (1e-4, 1e-6):
+        for k in range(24):
+            shape = ((2, 2), (2, 3), (3, 3), (2, 2, 2))[k % 4]
+            base = random_game(np.random.default_rng((8080, k)), shape)
+            small = k % len(shape)
+            payoffs = [g * scale if p == small else g for p, g in enumerate(base.payoffs)]
+            game = build_game(base.players, base.strategies, payoffs)
+            result = deviation_rating(game)
+            if scale == 1e-4:
+                reference, _ = oracle_rating(game)
+                assert np.max(np.abs(np.concatenate(result.ratings) - reference)) <= 1e-6
+            else:
+                assert rating_certificate(game, result).ok()
+
+
+_DIGEST = """
+import hashlib
+import numpy as np
+from devrating import ScoreTable, deviation_rating, game_from_table_3p
+rng = np.random.default_rng(2024)
+base = rng.uniform(0.05, 0.85, size=(62, 18))
+scores = np.vstack([np.tile(base.max(axis=0) + 0.05, (4, 1)), base])
+table = ScoreTable(
+    models=tuple(f"model{i:02d}" for i in range(66)),
+    tasks=tuple(f"task{j:02d}" for j in range(18)),
+    scores=scores,
+)
+result = deviation_rating(game_from_table_3p(table))
+digest = hashlib.sha256()
+for r in result.ratings:
+    digest.update(r.tobytes())
+digest.update(result.equilibrium.probs.tobytes())
+digest.update(repr(result.freeze_log).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_rating_is_bitwise_equal_across_blas_thread_counts():
+    # criterion 10's rating, with one and with two BLAS threads
+    src = str(Path(devrating.rating.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _DIGEST], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
