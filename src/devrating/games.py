@@ -346,25 +346,29 @@ def game_to_dict(game: NormalFormGame) -> dict:
 
 
 def game_from_dict(data: dict) -> NormalFormGame:
+    """Read the form ``game_to_dict`` writes; a label that is not a string
+    or a payoff that is not a number raises ``GameValidationError``."""
     try:
         players = data["players"]
         strategies = data["strategies"]
         flat = data["payoffs"]
     except (KeyError, TypeError) as exc:
         raise GameValidationError(f"game JSON missing field: {exc}") from None
+    labels = [players, *strategies] if isinstance(strategies, list) else [strategies]
+    if not all(isinstance(x, list) and all(isinstance(s, str) for s in x) for x in labels):
+        raise GameValidationError("players must be a list of strings and strategies a list of lists of strings")
     if not isinstance(flat, list) or len(flat) != len(players):
         raise GameValidationError("payoffs must list one flat tensor per player")
     shape = tuple(len(s) for s in strategies)
     size = int(np.prod(shape)) if shape else 0
     tensors = []
     for p, values in enumerate(flat):
-        arr = np.asarray(values, dtype=np.float64).reshape(-1)
-        if arr.size != size:
+        arr = np.asarray(values, dtype=object).reshape(-1)
+        if arr.size != size or not all(isinstance(x, (int, float)) for x in arr):
             raise GameValidationError(
-                f"flat payoff length {arr.size} for player {p + 1} does not "
-                f"match strategy counts {shape}"
+                f"payoffs for player {p + 1} must be {size} numbers, one per joint of strategy counts {shape}"
             )
-        tensors.append(arr.reshape(shape))
+        tensors.append(arr.astype(np.float64).reshape(shape))
     return build_game(players, strategies, tensors)
 
 

@@ -93,8 +93,8 @@ engine reads it through the payoff tensors.  Row (p, a') at joint a is
 G_p(a', a_-p) - G_p(a) = e_p(a) - e_p(a', a_-p), where
 e_p(a) = max_b G_p(b, a_-p) - G_p(a) is also the largest value of player
 p's rows at a.  A block of columns is gathered from the tensors, pricing
-all joints takes one contraction of e_p per player, and once a joint has
-retired the live joints are few enough to keep as one dense block.
+all joints takes one contraction of e_p per player, and the live joints'
+columns form one dense block once a joint retires or a span test runs.
 ``rate_reduced`` runs the same loop on the first joint of each group of
 duplicate joint columns and spreads the equilibrium over each group.
 
@@ -250,30 +250,20 @@ class _Constraints:
 
     Rows are (player, strategy) pairs in ``cce_constraint_matrix`` order
     and columns are joints in flat row-major order.  Row (p, a') at joint
-    a is G_p(a', a_-p) - G_p(a); ``_excess[p]`` is e_p(a) =
+    a is G_p(a', a_-p) - G_p(a), gathered from G_p at the strategy
+    profile a with a_p replaced by a'; ``_excess[p]`` is e_p(a) =
     max_b G_p(b, a_-p) - G_p(a), the largest of player p's rows at a,
     divided by the spread."""
 
     def __init__(self, game: NormalFormGame):
-        shape = game.shape
         self.spread = game.payoff_spread() or 1.0
-        self.num_rows = sum(shape)
-        self.num_joints = game.num_joints
-        self._shape = shape
+        self._shape = game.shape
+        self.num_rows = sum(self._shape)
+        self._payoffs = game.payoffs
         self._excess = [(g.max(axis=p, keepdims=True) - g) / self.spread for p, g in enumerate(game.payoffs)]
         # each player's e_p with its own axis first, built on first use:
         # a rating whose working set holds every joint never prices here
         self._views = None
-        # per row: where its player's payoffs start in ``_flat``, the
-        # stride and size of that player's axis, and the row's strategy
-        # times that stride
-        self._flat = np.concatenate([g.ravel() for g in game.payoffs])
-        player = np.repeat(np.arange(len(shape)), shape)
-        strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-        self._start = (player * self.num_joints)[:, None]
-        self._stride = strides[player][:, None]
-        self._size = np.asarray(shape)[player][:, None]
-        self._move = np.concatenate([np.arange(n) for n in shape])[:, None] * self._stride
 
     def joint_max(self) -> np.ndarray:
         """The largest constraint value at each joint."""
@@ -285,12 +275,15 @@ class _Constraints:
         return np.repeat([not e.any() for e in self._excess], self._shape)
 
     def columns(self, joints: np.ndarray) -> np.ndarray:
-        """The columns of ``joints``: entry ((p, a'), j) is
-        flat_p[j + (a' - a_p(j)) * stride_p] - flat_p[j], divided by the
-        spread, as ``cce_constraint_matrix`` computes it."""
-        at = self._start + joints
-        own = joints // self._stride % self._size * self._stride
-        return (self._flat[at + self._move - own] - self._flat[at]) / self.spread
+        """The columns of ``joints``, as ``cce_constraint_matrix`` computes
+        them, divided by the spread: player p's rows gather G_p at the
+        strategy profiles a of ``joints`` with a_p replaced by each of p's
+        strategies, minus G_p(a)."""
+        a = np.unravel_index(joints, self._shape)
+        return np.concatenate([
+            g[a[:p] + (np.arange(n)[:, None],) + a[p + 1 :]] - g[a]
+            for p, (g, n) in enumerate(zip(self._payoffs, self._shape))
+        ]) / self.spread
 
     def price(self, y: np.ndarray) -> np.ndarray:
         """``y`` times the matrix, over every joint: per player,
@@ -347,7 +340,8 @@ class _StageModel:
     The cost of t is 1 and the cost of a joint column is ``weights @ A``
     at that joint: zero for a stage LP, the indicator of the rows whose
     sum ``tight_rows`` minimizes.  ``live`` lists the joints not retired,
-    in joint order; a retired working-set column is deleted."""
+    in joint order, and holds every working-set joint, so a binary search
+    in it finds them; a retired working-set column is deleted."""
 
     def __init__(self, constraints: _Constraints, working: np.ndarray, live: np.ndarray):
         num_rows = constraints.num_rows
@@ -357,7 +351,6 @@ class _StageModel:
         self._upper = np.zeros(num_rows)
         self.working = np.empty(0, dtype=int)
         self.working_values = np.empty((num_rows, 0))
-        self._in_working = np.zeros(constraints.num_joints, dtype=bool)
         self.live = live
         self.frozen: dict[int, float] = {}
         self._check(self._highs.addRows(
@@ -375,8 +368,8 @@ class _StageModel:
         ))
         self._add(working)
         # the columns of the live joints, in ``live`` order: those of the
-        # working set when it holds every live joint; else built when a
-        # joint first retires, and until then pricing contracts the tensors
+        # working set when it holds every live joint; else built at the first
+        # retirement or span test, and until then pricing contracts the tensors
         self._live_values = self.working_values if working.size == live.size else None
 
     def _check(self, status: HighsStatus) -> None:
@@ -402,7 +395,6 @@ class _StageModel:
             index.astype(np.int32),
             block[index, cols],
         ))
-        self._in_working[joints] = True
         self.working = np.concatenate((self.working, joints))
         self.working_values = np.hstack((self.working_values, values))
 
@@ -433,7 +425,7 @@ class _StageModel:
         dead = reduced > PRICING_TOL
         if not dead.any():
             return
-        gone = np.isin(self.working, self.live[dead], assume_unique=True)
+        gone = dead[np.searchsorted(self.live, self.working)]
         if gone.any():
             cols = np.flatnonzero(gone).astype(np.int32) + 1
             self._check(self._highs.deleteCols(cols.size, cols))
@@ -486,7 +478,9 @@ class _StageModel:
             y = row_dual[:-1] - self._weights
             priced = self._constraints.price(y)[self.live] if self._live_values is None else y @ self._live_values
             reduced = -priced - row_dual[-1]
-            entering = np.flatnonzero((reduced < -PRICING_TOL) & ~self._in_working[self.live])
+            negative = reduced < -PRICING_TOL
+            negative[np.searchsorted(self.live, self.working)] = False
+            entering = np.flatnonzero(negative)
             if not entering.size:
                 return x, objective, row_dual, reduced
             # most negative first, at most PRICING_BATCH_PER_ROW per constraint row
@@ -609,7 +603,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
     deduplicated system, whose equilibrium is spread over each group."""
     constraints = _Constraints(game)
     factor = constraints.spread
-    num_rows, num_joints = constraints.num_rows, constraints.num_joints
+    num_rows, num_joints = constraints.num_rows, game.num_joints
     labels = [(game.players[p], s) for p, names in enumerate(game.strategies) for s in names]
     live = np.arange(num_joints) if reduced is None else np.array([group[0] for group in reduced.column_groups])
     log: list[FreezeRecord] = []

@@ -104,6 +104,11 @@ def test_rate_malformed_json_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["rate", "--input", str(bad)]) == 2
+    # valid JSON but not a game: strategies as a number, players as a string
+    for players, strategies in ((["p1", "p2"], 5), ("ab", [["x"], ["y"]])):
+        bad.write_text(json.dumps({"players": players, "strategies": strategies, "payoffs": [[0.0], [1.0]]}))
+        assert main(["rate", "--input", str(bad), "--output", str(tmp_path / "out.json")]) == 2
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_contributions_row_sums(tmp_path, table_csv):

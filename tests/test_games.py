@@ -169,6 +169,21 @@ def test_game_dict_schema():
 def test_game_from_dict_rejects_garbage():
     with pytest.raises(GameValidationError):
         game_from_dict({"players": ["p1"], "strategies": [["a"]]})
+    game = {"players": ["p1", "p2"], "strategies": [["x", "y"], ["z"]], "payoffs": [[1.0, 2.0], [3, 4]]}
+    assert game_from_dict(game).shape == (2, 1)
+    for field, value in (
+        ("players", 5),
+        ("players", "ab"),  # not read as the players "a" and "b"
+        ("players", [1, 2]),
+        ("strategies", 5),
+        ("strategies", [5, ["z"]]),
+        ("strategies", ["xy", "z"]),  # not read as the strategies "x" and "y"
+        ("payoffs", [[{"k": 1}, 2.0], [3.0, 4.0]]),
+        ("payoffs", [["1", 2.0], [3.0, 4.0]]),
+        ("payoffs", [[[1.0], [2.0, 3.0]], [3.0, 4.0]]),
+    ):
+        with pytest.raises(GameValidationError):
+            game_from_dict({**game, field: value})
 
 
 @given(st.floats(min_value=-10, max_value=10), st.integers(min_value=1, max_value=15))

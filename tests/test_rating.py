@@ -509,6 +509,18 @@ def test_lp_free_stages_match_lp_path(monkeypatch):
     mask = devrating.rating._fixed(values, [0, 1], [2, 3, 4], tol)
     assert mask.tolist() == [False, True, False]
 
+    # pin 2 is 1e-10 away from pin 0, so the Gram-Schmidt drops it as
+    # dependent, and row 3, 1e-7 away, is not fixed; a basis cut at eps
+    # level (an SVD cut at 12 eps times the largest singular value) keeps
+    # pin 2 and calls row 3 fixed
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(4, 12))
+        d = rng.normal(size=12)
+        values[2] = values[0] + 1e-10 * d
+        values[3] = values[0] + 1e-7 * d
+        assert devrating.rating._fixed(values, [0, 1, 2], [3], tol).tolist() == [False]
+
 
 def _lstsq_fixed(values, pins, live, rows, tol) -> list[bool]:
     """The span test by least squares: each row's residual after its best
@@ -590,6 +602,38 @@ def test_retire_keeps_every_joint_with_zero_reduced_cost():
     assert np.abs(reduced[twins]).max() <= tol
     # the optimum of the stage survives on the joints still live
     assert model.solve()[1] == pytest.approx(objective, abs=1e-12)
+
+
+def test_live_joints_stay_sorted_and_hold_the_working_set(monkeypatch):
+    # the stage model finds working-set joints in ``live`` by binary search
+    calls = {"retire": 0, "_add": 0, "retired": 0}
+
+    def checked(name):
+        method = getattr(devrating.rating._StageModel, name)
+
+        def wrapper(self, *args):
+            before = self.live.size
+            method(self, *args)
+            calls[name] += 1
+            calls["retired"] += before - self.live.size
+            assert (np.diff(self.live) > 0).all()
+            assert np.isin(self.working, self.live).all()
+
+        monkeypatch.setattr(devrating.rating._StageModel, name, wrapper)
+
+    checked("retire")
+    checked("_add")
+    table = game_from_table_3p(_planted_table(31, 12, 4))
+    deviation_rating(table)
+    # column generation: pricing adds joints after the initial working set
+    assert calls["_add"] > 1 and calls["retired"] > 0
+    adds = calls["_add"]
+    # meta-games no wider than the working set: every joint at once
+    run_improvement_loop(random_game(np.random.default_rng(8), (3, 3)), "deviation", LoopConfig(iterations=3, population_size=8, seed=5))
+    assert calls["_add"] > adds
+    adds = calls["_add"]
+    rate_reduced(game_from_table_3p(_planted_table(32, 12, 4, copies=3)))
+    assert calls["_add"] > adds
 
 
 def test_span_shortcut_keeps_no_row_the_lp_test_releases(monkeypatch):
@@ -768,6 +812,20 @@ def test_constraint_operator_matches_dense_matrix():
         for y in (rng.normal(size=values.shape[0]), rng.uniform(size=values.shape[0])):
             assert np.max(np.abs(constraints.price(y) - y @ values)) <= 1e-12
     assert all(zero)
+
+
+def test_column_gather_allocates_at_most_two_and_a_half_blocks():
+    game = random_game(np.random.default_rng(57), (30, 30, 8))
+    constraints = devrating.rating._Constraints(game)
+    joints = np.arange(game.num_joints)
+    tracemalloc.start()
+    try:
+        values = constraints.columns(joints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (68, game.num_joints)
+    assert peak <= 2.5 * values.nbytes
 
 
 def test_rating_never_forms_the_constraint_matrix(monkeypatch):
