@@ -33,16 +33,18 @@ stage count.
 
 Each stage LP has one row per (player, strategy) but one column per
 joint profile, so it is solved over a working set of joint columns (a
-restricted master LP).  The set starts as the ``WORKING_SET_PER_ROW``
-times num_rows joints whose largest constraint value is smallest.  After
+restricted master LP).  A game with at most ``WORKING_SET_PER_ROW``
+times num_rows joints is solved over every joint at once.  A larger one
+starts from num_rows joints, one basis' worth: those whose largest
+constraint value is smallest, and of the joints tied at the cut, those
+first in diagonal order (``_Constraints.tie_key``), so that when every
+joint ties the set still holds every strategy of every player.  After
 each solve every live joint is priced: the product of the row duals with
 the constraint matrix; up to ``PRICING_BATCH_PER_ROW`` times num_rows
 joints whose reduced cost is below ``-PRICING_TOL`` join the set and the
 LP is solved again.  A solve ends when no joint outside the
 set prices negative, so its optimum is that of the LP over all joints.
-The set only grows, so the previous stage's solution stays feasible.  A
-game with no more joints than the initial width is solved over every
-joint at once.
+The set only grows, so the previous stage's solution stays feasible.
 
 The optima of each stage lie on the optimal face of the stage before it:
 a stage only adds ``<=`` rows at values the previous optimum reached,
@@ -147,8 +149,10 @@ __all__ = [
 ]
 
 
-# Working-set width per constraint row, pricing batch per constraint row,
-# and the reduced cost below which a joint prices negative.
+# A game with at most this many joints per constraint row is solved over
+# every joint (a narrower start costs more re-solves than it saves); then
+# the pricing batch per constraint row, and the reduced cost below which a
+# joint prices negative.
 WORKING_SET_PER_ROW = 4
 PRICING_BATCH_PER_ROW = 1
 PRICING_TOL = 1e-9
@@ -268,6 +272,39 @@ class _Constraints:
     def joint_max(self) -> np.ndarray:
         """The largest constraint value at each joint."""
         return np.maximum.reduce([e.ravel() for e in self._excess])
+
+    def tie_key(self, joints: np.ndarray) -> np.ndarray:
+        """The diagonal of the strategy grid that each of ``joints`` lies
+        on.  With m the first player with the most strategies, N of them,
+        joint a lies on the diagonal whose shift for each other player p
+        is (a_p + floor(a_m n_p / N)) mod n_p; the key reads these shifts
+        as one mixed-radix number.  A diagonal holds one joint per strategy
+        of m, and as a_m runs over them, floor(a_m n_p / N) runs over every
+        strategy of p, so each diagonal holds every strategy of every
+        player."""
+        m = int(np.argmax(self._shape))
+        a = np.unravel_index(joints, self._shape)
+        key = np.zeros(joints.size, dtype=int)
+        for p, n in enumerate(self._shape):
+            if p != m:
+                key = key * n + (a[p] + a[m] * n // self._shape[m]) % n
+        return key
+
+    def initial_joints(self, live: np.ndarray) -> np.ndarray:
+        """The joints of ``live`` (sorted) that column generation starts
+        from, in joint order: all of them when there are at most
+        ``WORKING_SET_PER_ROW`` times num_rows; else num_rows joints, one
+        basis' worth, whose largest constraint value is smallest, the
+        joints tied at the cut taken by ``tie_key`` and then joint order."""
+        size = self.num_rows
+        if live.size <= WORKING_SET_PER_ROW * size:
+            return live
+        joint_max = self.joint_max()[live]
+        cut = np.partition(joint_max, size - 1)[size - 1]
+        below = live[joint_max < cut]
+        tied = live[joint_max == cut]
+        tied = tied[np.lexsort((tied, self.tie_key(tied)))[: size - below.size]]
+        return np.sort(np.concatenate((below, tied)))
 
     def zero_rows(self) -> np.ndarray:
         """The rows that are zero at every joint: all of a player's rows
@@ -539,9 +576,15 @@ def detect_active(row_gains: np.ndarray, objective: float, *, config: SolverConf
     """The candidates to freeze after a stage: every unfrozen row whose
     gain lies within ``active_tol`` of the objective, or else the argmax
     row.  Ties are candidates together, which is what keeps exact
-    duplicates (clones) at identical ratings."""
+    duplicates (clones) at identical ratings.  With every row frozen there
+    is none; a frozen index that is not a row raises ``ValueError``."""
+    bad = sorted(i for i in frozen if not 0 <= i < row_gains.size)
+    if bad:
+        raise ValueError(f"frozen row {bad[0]!r} is out of range for {row_gains.size} rows")
     free = np.ones(row_gains.size, dtype=bool)
     free[list(frozen)] = False
+    if not free.any():
+        return ()
     active = np.flatnonzero(free & _in_band(row_gains, objective, config.active_tol))
     if not active.size:
         candidates = np.flatnonzero(free)
@@ -611,9 +654,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
     def record(stage: int, rows: tuple[int, ...], objective: float) -> None:
         log.append(FreezeRecord(stage, tuple(labels[i] for i in rows), objective * factor))
 
-    # the joints whose largest constraint value is smallest, in joint order
-    order = np.argsort(constraints.joint_max()[live], kind="stable")
-    model = _StageModel(constraints, np.sort(live[order[: WORKING_SET_PER_ROW * num_rows]]), live)
+    model = _StageModel(constraints, constraints.initial_joints(live), live)
     zero_rows = tuple(np.flatnonzero(constraints.zero_rows()).tolist())
     if zero_rows:
         model.freeze(zero_rows, np.zeros(len(zero_rows)))
@@ -688,7 +729,10 @@ class RatingCertificate:
     """Self-check of a rating run, recomputed from the equilibrium.
 
     Discrepancies are reported here rather than raised; ``ok`` applies
-    the default tolerances.
+    the default tolerances.  ``epsilon`` and ``max_gain_error`` are in
+    payoff units, and ``ok`` multiplies its tolerances by
+    ``payoff_scale``, max(1, payoff spread), so that float rounding on a
+    game with large payoffs does not fail it.
     """
 
     epsilon: float
@@ -696,11 +740,12 @@ class RatingCertificate:
     objectives_non_increasing: bool
     stage_count: int
     stage_bound: int
+    payoff_scale: float
 
     def ok(self, epsilon_tol: float = 1e-7, gain_tol: float = 1e-6) -> bool:
         return (
-            self.epsilon <= epsilon_tol
-            and self.max_gain_error <= gain_tol
+            self.epsilon <= epsilon_tol * self.payoff_scale
+            and self.max_gain_error <= gain_tol * self.payoff_scale
             and self.objectives_non_increasing
             and self.stage_count <= self.stage_bound
         )
@@ -712,6 +757,7 @@ class RatingCertificate:
             "objectives_non_increasing": bool(self.objectives_non_increasing),
             "stage_count": int(self.stage_count),
             "stage_bound": int(self.stage_bound),
+            "payoff_scale": float(self.payoff_scale),
         }
 
 
@@ -722,14 +768,16 @@ def rating_certificate(game: NormalFormGame, result: RatingResult) -> RatingCert
     max_err = max(
         float(np.max(np.abs(g - r))) for g, r in zip(gains, result.ratings)
     )
+    scale = max(1.0, game.payoff_spread())
     objectives = [rec.objective for rec in result.freeze_log if rec.stage > 0]
-    monotone = all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
+    monotone = all(b <= a + 1e-9 * scale for a, b in zip(objectives, objectives[1:]))
     return RatingCertificate(
         epsilon=max(float(g.max()) for g in gains),
         max_gain_error=max_err,
         objectives_non_increasing=monotone,
         stage_count=result.stage_count,
         stage_bound=sum(game.shape),
+        payoff_scale=scale,
     )
 
 

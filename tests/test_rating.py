@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import os
 import subprocess
@@ -236,6 +237,12 @@ def test_detect_active_band_and_ties():
     # frozen rows never reselected
     active = detect_active(gains, objective=-0.5, config=SolverConfig(), frozen={1})
     assert active == (2,)
+    # no candidate once every row is frozen
+    assert detect_active(gains, objective=-0.5, frozen={0, 1, 2, 3}) == ()
+    # a frozen index that names no row
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match=f"frozen row {bad} is out of range for 4 rows"):
+            detect_active(gains, objective=-0.5, frozen={0, bad})
 
 
 def _repeated_detect_active(gains, rows, tol):
@@ -375,6 +382,8 @@ def test_column_generation_matches_exact_lp(monkeypatch):
     ]
     columns = _counting_solves(monkeypatch)
     working_set = [deviation_rating(games[0])]
+    # the first run is over one basis' worth of joints, and t
+    assert columns[0] == sum(games[0].shape) + 1
     assert max(columns) < games[0].num_joints + 1
     working_set += [deviation_rating(g) for g in games[1:]]
     monkeypatch.undo()
@@ -392,6 +401,70 @@ def test_column_generation_matches_exact_lp(monkeypatch):
         deviation_rating(g)
         assert set(columns) == {g.num_joints + 1}
         monkeypatch.undo()
+
+
+def _all_tied_pennies(n: int):
+    """Generalized matching pennies: +1 on the diagonal and -1 off it for
+    player 1, the negative for player 2.  Every joint has the same largest
+    constraint value, and the equilibrium's support is every joint."""
+    payoff = 2.0 * np.eye(n) - 1.0
+    return build_game(("p1", "p2"), [[f"s{i}" for i in range(n)]] * 2, [payoff, -payoff])
+
+
+def test_initial_working_set_is_a_lexsort_prefix_covering_every_strategy():
+    games = [
+        *(_tied_game(np.random.default_rng((4444, k)), (4, 4, 4)) for k in range(20)),
+        game_from_table_3p(_planted_table(11, 12, 4)),
+        game_from_table_3p(_planted_table(31, 12, 4, copies=3)),
+        _all_tied_pennies(100),
+    ]
+    for game in games:
+        constraints = devrating.rating._Constraints(game)
+        live = np.arange(game.num_joints)
+        joints = constraints.initial_joints(live)
+        order = np.lexsort((live, constraints.tie_key(live), constraints.joint_max()))
+        assert np.array_equal(joints, np.sort(order[: constraints.num_rows]))
+    # every joint ties: the set covers every strategy of every player
+    for shape in ((100, 100), (24, 24, 8), (66, 18), (2, 4, 10), (3, 11, 5)):
+        game = build_game(
+            [f"p{i}" for i in range(len(shape))],
+            [[f"s{j}" for j in range(n)] for n in shape],
+            [np.zeros(shape)] * len(shape),
+        )
+        joints = devrating.rating._Constraints(game).initial_joints(np.arange(game.num_joints))
+        assert joints.size == sum(shape)
+        for p, a_p in enumerate(np.unravel_index(joints, shape)):
+            assert np.array_equal(np.unique(a_p), np.arange(shape[p]))
+
+
+def test_wide_support_game_rates_in_few_highs_runs(monkeypatch):
+    game = _all_tied_pennies(100)
+    columns = _counting_solves(monkeypatch)
+    result = deviation_rating(game)
+    assert len(columns) <= 3
+    assert rating_certificate(game, result).ok()
+    assert max(np.abs(r).max() for r in result.ratings) <= 1e-12
+
+
+def test_certificate_tolerances_scale_with_payoffs():
+    table = _planted_table(31, 12, 4)
+    for scale in (1.0, 1e12):
+        game = game_from_table_3p(ScoreTable(table.models, table.tasks, table.scores * scale))
+        result = deviation_rating(game)
+        certificate = rating_certificate(game, result)
+        assert certificate.payoff_scale == max(1.0, game.payoff_spread())
+        assert certificate.ok()
+        # a rating off by 1e-5 of the payoff scale fails
+        off = dataclasses.replace(result, ratings=(result.ratings[0] + 1e-5 * certificate.payoff_scale, *result.ratings[1:]))
+        assert not rating_certificate(game, off).ok()
+    # float rounding at this scale exceeds the unscaled gain tolerance
+    assert certificate.max_gain_error > 1e-6
+    # the monotone check allows a rise of 1e-9 of the payoff scale
+    log = list(result.freeze_log)
+    for rise, monotone in ((1e-10, True), (1e-8, False)):
+        log[-1] = dataclasses.replace(log[-1], objective=log[-2].objective + rise * certificate.payoff_scale)
+        rerun = dataclasses.replace(result, freeze_log=tuple(log))
+        assert rating_certificate(game, rerun).objectives_non_increasing is monotone
 
 
 def test_warm_model_matches_cold_solves(monkeypatch):
