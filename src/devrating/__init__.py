@@ -41,6 +41,7 @@ from .cce import (
     verify_cce,
     ReducedConstraintSystem,
     dedup_joints,
+    joint_groups,
 )
 from .rating import (
     RatingError,

@@ -40,6 +40,7 @@ __all__ = [
     "verify_cce",
     "ReducedConstraintSystem",
     "dedup_joints",
+    "joint_groups",
 ]
 
 
@@ -266,10 +267,22 @@ class ReducedConstraintSystem:
     num_original_joints: int
 
     def expand(self, reduced_probs: np.ndarray) -> np.ndarray:
+        sizes = np.fromiter(map(len, self.column_groups), dtype=int, count=len(self.column_groups))
+        if np.shape(reduced_probs) != sizes.shape:
+            raise ValueError(f"{np.size(reduced_probs)} reduced probabilities for {sizes.size} groups")
         probs = np.zeros(self.num_original_joints)
-        for k, group in enumerate(self.column_groups):
-            probs[list(group)] = reduced_probs[k] / len(group)
+        probs[np.concatenate(self.column_groups)] = np.repeat(reduced_probs / sizes, sizes)
         return probs
+
+
+def _column_labels(values: np.ndarray) -> np.ndarray:
+    """Label the columns of the 2-D ``values``, the same label for
+    bytewise-equal columns, numbered in order of first occurrence."""
+    cols = np.ascontiguousarray(values.T)
+    keys = cols.view(np.dtype((np.void, cols.itemsize * cols.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # the rank of each distinct column's first occurrence
+    return np.argsort(np.argsort(first))[inverse.reshape(-1)]
 
 
 def dedup_joints(matrix: CCEConstraintMatrix) -> ReducedConstraintSystem:
@@ -280,26 +293,27 @@ def dedup_joints(matrix: CCEConstraintMatrix) -> ReducedConstraintSystem:
     computed on the reduced system equals the full-system rating.
     """
     vals = quantize(matrix.values)
-    order: dict[bytes, int] = {}
-    groups: list[list[int]] = []
-    cols = np.ascontiguousarray(vals.T)
-    for j in range(cols.shape[0]):
-        key = cols[j].tobytes()
-        k = order.get(key)
-        if k is None:
-            order[key] = len(groups)
-            groups.append([j])
-        else:
-            groups[k].append(j)
-    keep = [g[0] for g in groups]
+    labels = _column_labels(vals)
+    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     reduced = CCEConstraintMatrix(
-        values=vals[:, keep],
+        values=vals[:, np.unique(labels, return_index=True)[1]],
         players=matrix.players,
         strategies=matrix.strategies,
         row_keys=matrix.row_keys,
     )
     return ReducedConstraintSystem(
         matrix=reduced,
-        column_groups=tuple(tuple(g) for g in groups),
+        column_groups=tuple(map(tuple, map(np.ndarray.tolist, groups))),
         num_original_joints=matrix.num_joints,
     )
+
+
+def joint_groups(game: NormalFormGame) -> np.ndarray:
+    """Each joint's group label in ``dedup_joints`` of the game's
+    constraint matrix, found without forming it: two joints share a column
+    exactly when they share every player's block of rows, so the columns
+    of each block are labelled, and then each joint's labels by player."""
+    return _column_labels(np.array([
+        _column_labels(quantize(np.expand_dims(np.moveaxis(g, p, 0), p + 1) - g).reshape(n, -1))
+        for p, (g, n) in enumerate(zip(game.payoffs, game.shape))
+    ]))

@@ -98,7 +98,8 @@ p's rows at a.  A block of columns is gathered from the tensors, pricing
 all joints takes one contraction of e_p per player, and the live joints'
 columns form one dense block once a joint retires or a span test runs.
 ``rate_reduced`` runs the same loop on the first joint of each group of
-duplicate joint columns and spreads the equilibrium over each group.
+duplicate joints (``cce.joint_groups``, also read from the payoff
+tensors) and spreads the equilibrium evenly over each group.
 
 Ratings are invariant to cloning, payoff offsets, and strategy
 relabeling, and never exceed 0.  They are invariant to mixing on generic
@@ -108,7 +109,7 @@ tight at every optimum, and so the ratings.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -123,13 +124,7 @@ except ImportError as exc:
         "provides the HiGHS solver object the stage LPs are passed to"
     ) from exc
 
-from .cce import (
-    JointDistribution,
-    ReducedConstraintSystem,
-    cce_constraint_matrix,
-    dedup_joints,
-    deviation_gains,
-)
+from .cce import JointDistribution, deviation_gains, joint_groups
 from .games import NormalFormGame, symmetrize_payoffs
 
 __all__ = [
@@ -640,15 +635,15 @@ def _fixed(values: np.ndarray, pins: Sequence[int], rows: Sequence[int], tol: fl
     return r.max(axis=1) - r.min(axis=1) <= tol
 
 
-def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraintSystem | None = None) -> RatingResult:
+def _rate(game: NormalFormGame, config: SolverConfig, live: np.ndarray | None = None) -> RatingResult:
     """Run the freezing loop on the constraints of ``game``, over every
-    joint, or over the first joint of each group of ``reduced``, the
-    deduplicated system, whose equilibrium is spread over each group."""
+    joint or over the sorted joints ``live``; the equilibrium is 0 off
+    ``live``."""
     constraints = _Constraints(game)
     factor = constraints.spread
     num_rows, num_joints = constraints.num_rows, game.num_joints
     labels = [(game.players[p], s) for p, names in enumerate(game.strategies) for s in names]
-    live = np.arange(num_joints) if reduced is None else np.array([group[0] for group in reduced.column_groups])
+    live = np.arange(num_joints) if live is None else live
     log: list[FreezeRecord] = []
 
     def record(stage: int, rows: tuple[int, ...], objective: float) -> None:
@@ -700,7 +695,7 @@ def _rate(game: NormalFormGame, config: SolverConfig, reduced: ReducedConstraint
         players=game.players,
         strategies=game.strategies,
         ratings=tuple(np.split(scaled, np.cumsum(game.shape)[:-1])),
-        equilibrium=JointDistribution(sigma if reduced is None else reduced.expand(sigma[live])),
+        equilibrium=JointDistribution(sigma),
         freeze_log=tuple(log),
         stage_count=stage,
     )
@@ -713,15 +708,19 @@ def deviation_rating(game: NormalFormGame, config: SolverConfig = SolverConfig()
 
 
 def rate_reduced(game: NormalFormGame, config: SolverConfig = SolverConfig(), symmetrize: Sequence[tuple] = ()) -> RatingResult:
-    """Deviation ratings computed on the deduplicated constraint system.
+    """Deviation ratings computed with duplicate joint columns merged.
 
     ``symmetrize`` lists player pairs to symmetrize first (a no-op when
     the game is already symmetric in those pairs).  The returned
-    equilibrium is expanded back to the full joint space.
+    equilibrium spreads each group's mass evenly over its joints.
     """
     for p, q in symmetrize:
         game = symmetrize_payoffs(game, p, q)
-    return _rate(game, config, dedup_joints(cce_constraint_matrix(game)))
+    labels = joint_groups(game)
+    first = np.unique(labels, return_index=True)[1]
+    result = _rate(game, config, first)
+    probs = result.equilibrium.probs[first][labels] / np.bincount(labels)[labels]
+    return replace(result, equilibrium=JointDistribution(probs))
 
 
 @dataclass(frozen=True)

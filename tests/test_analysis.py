@@ -119,6 +119,15 @@ def test_dedup_identity_on_distinct_columns():
     assert all(len(grp) == 1 for grp in red.column_groups)
 
 
+def test_expand_rejects_a_vector_not_one_per_group():
+    red = dedup_joints(cce_constraint_matrix(clone_strategy(random_game(np.random.default_rng(6), (2, 2)), 0, 0)))
+    assert len(red.column_groups) == 4 and red.num_original_joints == 6
+    for size in (7, 3):
+        with pytest.raises(ValueError, match=f"{size} reduced probabilities for 4 groups"):
+            red.expand(np.full(size, 1.0 / size))
+    assert red.expand(np.full(4, 0.25)).sum() == pytest.approx(1.0)
+
+
 def test_rate_reduced_equals_direct_with_clones():
     for seed in range(4):
         rng = np.random.default_rng(seed)

@@ -13,11 +13,12 @@ import pytest
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
+import devrating.cce
 import devrating.improve
 import devrating.rating
-from devrating.cce import cce_constraint_matrix, verify_cce
+from devrating.cce import cce_constraint_matrix, dedup_joints, joint_groups, verify_cce
 from devrating.analysis import check_property
-from devrating.games import build_game, clone_strategy, mix_strategy, random_game
+from devrating.games import build_game, clone_strategy, mix_strategy, quantize, random_game, symmetrize_payoffs
 from devrating.gamify import ScoreTable, game_from_table_3p
 from devrating.improve import LoopConfig, run_improvement_loop
 from devrating.rating import (
@@ -906,18 +907,64 @@ def test_rating_never_forms_the_constraint_matrix(monkeypatch):
     game = game_from_table_3p(_planted_table(2024, 66, 18, copies=4))
     dense = sum(game.shape) * game.num_joints * 8
 
-    def forbidden(game):
-        raise AssertionError("deviation_rating built the dense constraint matrix")
+    def forbidden(*args):
+        raise AssertionError("the rating built the dense constraint matrix")
 
-    monkeypatch.setattr(devrating.rating, "cce_constraint_matrix", forbidden)
-    tracemalloc.start()
-    try:
-        result = deviation_rating(game)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.stage_count == 51
-    assert peak < dense / 4
+    monkeypatch.setattr(devrating.cce, "cce_constraint_matrix", forbidden)
+    monkeypatch.setattr(devrating.cce, "dedup_joints", forbidden)
+    peaks = []
+    for rate in (deviation_rating, rate_reduced):
+        tracemalloc.start()
+        try:
+            result = rate(game)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.stage_count == 51
+    # grouping duplicate joints reads each player's block of rows in turn
+    assert peaks[0] < dense / 4 and peaks[1] < 3 * dense
+
+
+def _dedup_labels(reduced) -> np.ndarray:
+    """Each joint's group in the ``dedup_joints`` system ``reduced``."""
+    labels = np.empty(reduced.num_original_joints, dtype=int)
+    for k, group in enumerate(reduced.column_groups):
+        labels[list(group)] = k
+    return labels
+
+
+def _bytewise_labels(game) -> np.ndarray:
+    """The duplicate rule one column at a time: quantized columns that are
+    bytewise equal share a label, numbered by first occurrence."""
+    seen = {}
+    columns = np.ascontiguousarray(quantize(cce_constraint_matrix(game).values).T)
+    return np.array([seen.setdefault(column.tobytes(), len(seen)) for column in columns])
+
+
+def test_joint_groups_equal_dense_dedup_groups():
+    games = [game_from_table_3p(_planted_table(31, 12, 4)), game_from_table_3p(_planted_table(32, 12, 4, copies=3))]
+    games += [_tied_game(np.random.default_rng((4444, k)), (4, 4, 4)) for k in range(20)]
+    for trial in range(25):
+        # criterion 8's cloned symmetric games, symmetrized as rate_reduced does
+        rng = np.random.default_rng(40_000 + trial)
+        size = int(rng.integers(3, 5))
+        payoff = rng.uniform(-1.0, 1.0, size=(size, size))
+        labels = [f"s{i}" for i in range(size)]
+        game = build_game(["p1", "p2"], [labels, labels], [payoff, payoff.T])
+        target = f"s{int(rng.integers(0, size))}"
+        games.append(symmetrize_payoffs(clone_strategy(clone_strategy(game, "p1", target), "p2", target), 0, 1))
+    for game in games:
+        labels = joint_groups(game)
+        assert np.array_equal(labels, _dedup_labels(dedup_joints(cce_constraint_matrix(game))))
+        assert np.array_equal(labels, _bytewise_labels(game))
+    # criterion 10's table: same groups, and the equilibrium spread over
+    # them as ReducedConstraintSystem.expand spreads it
+    game = game_from_table_3p(_planted_table(2024, 66, 18, copies=4))
+    labels, dense = joint_groups(game), dedup_joints(cce_constraint_matrix(game))
+    assert np.array_equal(labels, _dedup_labels(dense)) and labels.max() + 1 == 71_442
+    first = np.unique(labels, return_index=True)[1]
+    probs = rate_reduced(game).equilibrium.probs
+    assert np.allclose(probs, dense.expand(probs[first] * np.bincount(labels)), rtol=1e-15, atol=0)
 
 
 def test_thread_solver_reuse_leaves_ratings_bitwise():
