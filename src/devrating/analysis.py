@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cce import ReducedConstraintSystem, cce_constraint_matrix, dedup_joints
+from .cce import ReducedConstraintSystem, dedup_joints
 from .games import (
     GameValidationError,
     NormalFormGame,
@@ -129,6 +129,13 @@ def _ratings_of(rater: Rater, game: NormalFormGame) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(r, dtype=np.float64) for r in ratings)
 
 
+def _row_minima(game: NormalFormGame) -> list[np.ndarray]:
+    """Each player's row minima of ``cce_constraint_matrix(game)``, read from
+    the payoff tensors: row (q, i) is smallest at q's best reply to a_-q, and
+    rounding is monotone, so they equal the matrix's row minima bitwise."""
+    return [(g - g.max(axis=q, keepdims=True)).min(axis=tuple(a for a in range(g.ndim) if a != q)) for q, g in enumerate(game.payoffs)]
+
+
 def check_property(game: NormalFormGame, property_name: str, rater: Rater, seed: int = 0, tolerance: float | None = None) -> PropertyReport:
     """Apply one seeded strategy-space transformation and verify that the
     rater responds as the property demands.  Works with any rater that
@@ -150,13 +157,13 @@ def check_property(game: NormalFormGame, property_name: str, rater: Rater, seed:
         # a rating lies between its row's smallest deviation gain and 0
         deviation = 0.0
         detail = "all within bounds"
-        matrix = cce_constraint_matrix(game)
-        for (q, i), lower in zip(matrix.row_keys, matrix.values.min(axis=1).tolist()):
-            r = float(base[q][i])
-            excess = max(r, lower - r)
-            if excess > deviation:
-                deviation = excess
-                detail = f"worst row ({game.players[q]}, {game.strategies[q][i]})"
+        for q, lowers in enumerate(_row_minima(game)):
+            for i, lower in enumerate(lowers.tolist()):
+                r = float(base[q][i])
+                excess = max(r, lower - r)
+                if excess > deviation:
+                    deviation = excess
+                    detail = f"worst row ({game.players[q]}, {game.strategies[q][i]})"
         return PropertyReport("bounds", deviation <= tol, deviation, tol, seed, detail)
 
     i = int(rng.integers(game.shape[p]))

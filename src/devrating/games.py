@@ -346,8 +346,8 @@ def game_to_dict(game: NormalFormGame) -> dict:
 
 
 def game_from_dict(data: dict) -> NormalFormGame:
-    """Read the form ``game_to_dict`` writes; a label that is not a string
-    or a payoff that is not a number raises ``GameValidationError``."""
+    """Read the form ``game_to_dict`` writes; a label that is not a string,
+    or a payoff that is a boolean or not a number, raises ``GameValidationError``."""
     try:
         players = data["players"]
         strategies = data["strategies"]
@@ -364,7 +364,7 @@ def game_from_dict(data: dict) -> NormalFormGame:
     tensors = []
     for p, values in enumerate(flat):
         arr = np.asarray(values, dtype=object).reshape(-1)
-        if arr.size != size or not all(isinstance(x, (int, float)) for x in arr):
+        if arr.size != size or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in arr):
             raise GameValidationError(
                 f"payoffs for player {p + 1} must be {size} numbers, one per joint of strategy counts {shape}"
             )

@@ -18,18 +18,15 @@ the same later optima as ``== r_f`` would, and unlike equations it keeps
 the previous solution's basis usable.  The candidates are the rows whose
 gain is within ``active_tol`` of the optimum t*.  A candidate with a
 nonzero row dual is tight at every optimum by complementary slackness.
-So is a candidate that the pins and those rows fix (see below), as its
-gain is the same all over the optimal face: tightness is settled by this
-span test before any LP.  Only the rest are tested on the optimal face
-(t fixed at t*) by minimizing the sum of their gains: each whose gain
-there is below t* - ``active_tol`` is released, and the rest are tested
-again until none is released.  The duals of the unfrozen rows sum to -1
-(t has cost 1 and reduced cost 0), so some candidate has a nonzero dual:
-every stage freezes at least one row, hence at most sum_p |A_p| stages
-run, and a sole candidate freezes with no further LP.  Rows that are
-identically zero (e.g. a player with a single strategy) are frozen at 0
-up front; their rows are vacuous, so this changes nothing except the
-stage count.
+The rest are tested on the optimal face (t fixed at t*) by minimizing
+the sum of their gains: each whose gain there is below t* - ``active_tol``
+is released, and the rest are tested again until none is released.  The
+duals of the unfrozen rows sum to -1 (t has cost 1 and reduced cost 0),
+so some candidate has a nonzero dual: every stage freezes at least one
+row, hence at most sum_p |A_p| stages run, and a sole candidate freezes
+with no further LP.  Rows that are identically zero (e.g. a player with
+a single strategy) are frozen at 0 up front; their rows are vacuous, so
+this changes nothing except the stage count.
 
 Each stage LP has one row per (player, strategy) but one column per
 joint profile, so it is solved over a working set of joint columns (a
@@ -523,19 +520,14 @@ class _StageModel:
         """The rows of ``band`` that are tight at every optimum of the stage
         LP just solved, whose optimum is ``objective`` and row duals
         ``row_dual``.  A row with a nonzero dual is, by complementary
-        slackness; a band of one row always holds such a row.  A row that
-        the frozen rows, these rows and the simplex row fix (``_fixed``)
-        has the same gain all over the optimal face, so it is tight there
-        too.  The others are tested by minimizing their sum over the
-        optimal face (t fixed at the optimum); each whose gain there is
-        below ``objective - tol`` is released, and the rest are tested
-        again until none is released."""
+        slackness; a band of one row always holds such a row.  The others
+        are tested by minimizing their sum over the optimal face (t fixed
+        at the optimum); each whose gain there is below ``objective - tol``
+        is released, and the rest are tested again until none is
+        released."""
         band = np.array(band, dtype=int)
         # a row's dual is the reduced cost of its slack
         tight = np.abs(row_dual[band]) > PRICING_TOL
-        if not tight.all():
-            pins = [*self.frozen, *band[tight].tolist()]
-            tight[~tight] = _fixed(self.live_values(), pins, band[~tight], FIXED_GAIN_TOL * tol)
         candidates = band[~tight]
         if candidates.size:
             self._highs.changeColBounds(0, objective, objective)

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import devrating.analysis
 from devrating.analysis import (
     PROPERTY_NAMES,
     check_property,
@@ -155,6 +156,16 @@ def test_check_property_all_pass_for_deviation():
         report = check_property(g, name, deviation_rating, seed=3)
         assert report.passed, (name, report.deviation, report.detail)
         assert report.witness is None
+
+
+def test_bounds_row_minima_equal_dense_row_minima():
+    rng = np.random.default_rng(11)
+    games = [random_game(rng, shape) for shape in ((2, 3), (3, 1, 4), (2, 2, 3, 2))]
+    games.append(build_game(["p1", "p2"], [["a", "b"], ["c", "d", "e"]], [rng.integers(-2, 3, (2, 3)).astype(float) for _ in range(2)]))
+    games.append(game_from_table_3p(ScoreTable(("m1", "m2", "m3"), ("t1", "t2"), rng.uniform(0, 1, (3, 2)) * 1e3, {})))
+    games.append(biased_shapley())
+    for g in games:
+        assert np.array_equal(np.concatenate(devrating.analysis._row_minima(g)), cce_constraint_matrix(g).values.min(axis=1))
 
 
 def test_check_property_rejects_unknown_name():

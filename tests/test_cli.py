@@ -104,9 +104,14 @@ def test_rate_malformed_json_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["rate", "--input", str(bad)]) == 2
-    # valid JSON but not a game: strategies as a number, players as a string
-    for players, strategies in ((["p1", "p2"], 5), ("ab", [["x"], ["y"]])):
-        bad.write_text(json.dumps({"players": players, "strategies": strategies, "payoffs": [[0.0], [1.0]]}))
+    # valid JSON but not a game: strategies as a number, players as a
+    # string, payoffs as booleans
+    for players, strategies, payoffs in (
+        (["p1", "p2"], 5, [[0.0], [1.0]]),
+        ("ab", [["x"], ["y"]], [[0.0], [1.0]]),
+        (["p1", "p2"], [["x"], ["y"]], [[True], [False]]),
+    ):
+        bad.write_text(json.dumps({"players": players, "strategies": strategies, "payoffs": payoffs}))
         assert main(["rate", "--input", str(bad), "--output", str(tmp_path / "out.json")]) == 2
     assert not (tmp_path / "out.json").exists()
 

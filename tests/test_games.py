@@ -180,6 +180,7 @@ def test_game_from_dict_rejects_garbage():
         ("strategies", ["xy", "z"]),  # not read as the strategies "x" and "y"
         ("payoffs", [[{"k": 1}, 2.0], [3.0, 4.0]]),
         ("payoffs", [["1", 2.0], [3.0, 4.0]]),
+        ("payoffs", [[True, False], [3.0, 4.0]]),  # not read as 1.0 and 0.0
         ("payoffs", [[[1.0], [2.0, 3.0]], [3.0, 4.0]]),
     ):
         with pytest.raises(GameValidationError):

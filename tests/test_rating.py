@@ -18,6 +18,7 @@ import devrating.improve
 import devrating.rating
 from devrating.cce import cce_constraint_matrix, dedup_joints, joint_groups, verify_cce
 from devrating.analysis import check_property
+from devrating.baselines import uniform_rating
 from devrating.games import build_game, clone_strategy, mix_strategy, quantize, random_game, symmetrize_payoffs
 from devrating.gamify import ScoreTable, game_from_table_3p
 from devrating.improve import LoopConfig, run_improvement_loop
@@ -514,32 +515,6 @@ def _discrete_game(k: int):
     return _tied_game(np.random.default_rng((7070, k)), [(2, 2), (2, 3), (2, 2, 2)][k % 3])
 
 
-def _span_test_calls(monkeypatch, off: str | None = None) -> list[tuple[str, np.ndarray]]:
-    """Record every call of the span test ``_fixed`` as (site, mask): site
-    "shortcut" for a call from ``tight_rows``, "tail" for the one that
-    starts the LP-free tail.  At the site ``off``, no row is fixed."""
-    fixed = devrating.rating._fixed
-    tight_rows = devrating.rating._StageModel.tight_rows
-    calls, inside = [], []
-
-    def in_tight_rows(self, *args):
-        inside.append(True)
-        try:
-            return tight_rows(self, *args)
-        finally:
-            inside.pop()
-
-    def recording(values, pins, rows, tol):
-        site = "shortcut" if inside else "tail"
-        mask = np.zeros(len(rows), dtype=bool) if site == off else fixed(values, pins, rows, tol)
-        calls.append((site, mask))
-        return mask
-
-    monkeypatch.setattr(devrating.rating._StageModel, "tight_rows", in_tight_rows)
-    monkeypatch.setattr(devrating.rating, "_fixed", recording)
-    return calls
-
-
 def test_lp_free_stages_match_lp_path(monkeypatch):
     rated = _recording_rater(monkeypatch)
     run_improvement_loop(random_game(np.random.default_rng(8), (3, 3)), "deviation", LoopConfig(iterations=10, population_size=8, seed=5))
@@ -561,7 +536,8 @@ def test_lp_free_stages_match_lp_path(monkeypatch):
         lp_free.append(deviation_rating(g))
         skipped.append(bool(tails))  # a stage ran no LP
         monkeypatch.undo()
-    _span_test_calls(monkeypatch, off="tail")
+    # every call of the span test is the check that starts the LP-free tail
+    monkeypatch.setattr(devrating.rating, "_fixed", lambda values, pins, rows, tol: np.zeros(len(rows), dtype=bool))
     for g, free in zip(games, lp_free):
         with_lp = deviation_rating(g)
         assert _freeze_sets(free) == _freeze_sets(with_lp)
@@ -710,27 +686,20 @@ def test_live_joints_stay_sorted_and_hold_the_working_set(monkeypatch):
     assert calls["_add"] > adds
 
 
-def test_span_shortcut_keeps_no_row_the_lp_test_releases(monkeypatch):
-    calls = _span_test_calls(monkeypatch)
+def test_face_lp_releases_a_band_row_on_tied_payoffs(monkeypatch):
+    # a band row with a zero dual is not always tight at every optimum
     tight_rows = devrating.rating._StageModel.tight_rows
     released = []
 
     def recording_tight_rows(self, band, *args):
         active = tight_rows(self, band, *args)
-        released.append(len(active) < len(band))  # only the LP test releases a row
+        released.append(len(active) < len(band))
         return active
 
     monkeypatch.setattr(devrating.rating._StageModel, "tight_rows", recording_tight_rows)
-    deviation_rating(game_from_table_3p(_planted_table(31, 12, 4)))
-    assert any(mask.any() for site, mask in calls if site == "shortcut")
-    released.clear()
-    games = [_tied_property_game(k) for k in range(150)]
-    shortcut = [deviation_rating(g) for g in games]
+    for k in range(150):
+        deviation_rating(_tied_property_game(k))
     assert any(released)
-    monkeypatch.undo()
-    _span_test_calls(monkeypatch, off="shortcut")
-    for g, s in zip(games, shortcut):
-        assert _freeze_sets(deviation_rating(g)) == _freeze_sets(s)
 
 
 def _linprog_stage_one(game) -> float:
@@ -888,16 +857,20 @@ def test_constraint_operator_matches_dense_matrix():
     assert all(zero)
 
 
+def _traced(call):
+    """``call()`` and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_column_gather_allocates_at_most_two_and_a_half_blocks():
     game = random_game(np.random.default_rng(57), (30, 30, 8))
     constraints = devrating.rating._Constraints(game)
     joints = np.arange(game.num_joints)
-    tracemalloc.start()
-    try:
-        values = constraints.columns(joints)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    values, peak = _traced(lambda: constraints.columns(joints))
     assert values.shape == (68, game.num_joints)
     assert peak <= 2.5 * values.nbytes
 
@@ -912,17 +885,28 @@ def test_rating_never_forms_the_constraint_matrix(monkeypatch):
 
     monkeypatch.setattr(devrating.cce, "cce_constraint_matrix", forbidden)
     monkeypatch.setattr(devrating.cce, "dedup_joints", forbidden)
-    peaks = []
-    for rate in (deviation_rating, rate_reduced):
-        tracemalloc.start()
-        try:
-            result = rate(game)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert result.stage_count == 51
     # grouping duplicate joints reads each player's block of rows in turn
-    assert peaks[0] < dense / 4 and peaks[1] < 3 * dense
+    for rate, bound in ((deviation_rating, dense / 4), (rate_reduced, 3 * dense)):
+        result, peak = _traced(lambda: rate(game))
+        assert result.stage_count == 51
+        assert peak < bound
+    report, peak = _traced(lambda: check_property(game, "bounds", uniform_rating))
+    assert report.property == "bounds" and peak < dense / 4
+
+
+def test_cyclic_game_rates_in_one_stage_without_the_live_block():
+    # A[i, i+1] = 1 and A[i+1, i] = -1 mod 200, zero-sum: one 400 x 40 000
+    # block of live columns would take 128 MB
+    n = 200
+    a = np.zeros((n, n))
+    a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    a[(np.arange(n) + 1) % n, np.arange(n)] = -1.0
+    names = [f"s{i}" for i in range(n)]
+    game = build_game(["p1", "p2"], [names, names], [a, -a])
+    result, peak = _traced(lambda: deviation_rating(game))
+    assert result.stage_count == 1
+    assert rating_certificate(game, result).ok()
+    assert peak < 32 * 2**20
 
 
 def _dedup_labels(reduced) -> np.ndarray:
