@@ -130,6 +130,18 @@ class EloConfig:
     max_iters: int = 20000
     anchor: str = "mean-zero"
 
+    def __post_init__(self):
+        for name in ("scale", "learning_rate"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise GameValidationError(f"{name} must be finite and > 0, got {value!r}")
+        if not (np.isfinite(self.base) and self.base > 1):
+            raise GameValidationError(f"base must be finite and > 1, got {self.base!r}")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise GameValidationError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if self.anchor not in ("mean-zero", "first-zero"):
+            raise GameValidationError(f"unknown anchor {self.anchor!r}")
+
     def winprob(self, ratings: np.ndarray) -> np.ndarray:
         z = np.log(self.base) * (ratings[:, None] - ratings[None, :]) / self.scale
         return 1.0 / (1.0 + np.exp(-z))
@@ -198,12 +210,7 @@ def elo_fit(matrix: WinProbMatrix, config: EloConfig = EloConfig()) -> EloResult
     gnorm = float(np.max(np.abs(grad)))
     converged = converged or gnorm < _GRAD_TOL
 
-    if config.anchor == "mean-zero":
-        ratings = ratings - ratings.mean()
-    elif config.anchor == "first-zero":
-        ratings = ratings - ratings[0]
-    else:
-        raise GameValidationError(f"unknown anchor {config.anchor!r}")
+    ratings = ratings - (ratings.mean() if config.anchor == "mean-zero" else ratings[0])
     ratings.setflags(write=False)
     return EloResult(
         labels=matrix.labels,

@@ -41,6 +41,7 @@ __all__ = [
     "ReducedConstraintSystem",
     "dedup_joints",
     "joint_groups",
+    "spread_over_groups",
 ]
 
 
@@ -253,26 +254,32 @@ def cce_constraint_matrix(game: NormalFormGame) -> CCEConstraintMatrix:
     )
 
 
+def spread_over_groups(reduced_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Spread each group's mass evenly over its joints; ``labels[j]`` is joint j's group."""
+    sizes = np.bincount(labels)
+    if np.shape(reduced_probs) != sizes.shape:
+        raise ValueError(f"{np.size(reduced_probs)} reduced probabilities for {sizes.size} groups")
+    return (reduced_probs / sizes)[labels]
+
+
 @dataclass(frozen=True)
 class ReducedConstraintSystem:
     """A constraint matrix with duplicate joint columns merged.
 
-    ``column_groups[k]`` lists the original joint indices whose columns
-    collapsed into reduced column k; mass assigned to a reduced column is
-    spread uniformly over its group on expansion.
+    ``labels[j]`` is the reduced column that joint j's column collapsed
+    into, numbered in order of first occurrence; mass assigned to a
+    reduced column is spread evenly over its joints on expansion.
     """
 
     matrix: CCEConstraintMatrix
-    column_groups: tuple[tuple[int, ...], ...]
-    num_original_joints: int
+    labels: np.ndarray
+
+    @property
+    def num_original_joints(self) -> int:
+        return self.labels.size
 
     def expand(self, reduced_probs: np.ndarray) -> np.ndarray:
-        sizes = np.fromiter(map(len, self.column_groups), dtype=int, count=len(self.column_groups))
-        if np.shape(reduced_probs) != sizes.shape:
-            raise ValueError(f"{np.size(reduced_probs)} reduced probabilities for {sizes.size} groups")
-        probs = np.zeros(self.num_original_joints)
-        probs[np.concatenate(self.column_groups)] = np.repeat(reduced_probs / sizes, sizes)
-        return probs
+        return spread_over_groups(reduced_probs, self.labels)
 
 
 def _column_labels(values: np.ndarray) -> np.ndarray:
@@ -294,18 +301,13 @@ def dedup_joints(matrix: CCEConstraintMatrix) -> ReducedConstraintSystem:
     """
     vals = quantize(matrix.values)
     labels = _column_labels(vals)
-    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     reduced = CCEConstraintMatrix(
         values=vals[:, np.unique(labels, return_index=True)[1]],
         players=matrix.players,
         strategies=matrix.strategies,
         row_keys=matrix.row_keys,
     )
-    return ReducedConstraintSystem(
-        matrix=reduced,
-        column_groups=tuple(map(tuple, map(np.ndarray.tolist, groups))),
-        num_original_joints=matrix.num_joints,
-    )
+    return ReducedConstraintSystem(matrix=reduced, labels=labels)
 
 
 def joint_groups(game: NormalFormGame) -> np.ndarray:

@@ -84,14 +84,15 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _write_manifest(manifest_path, command, inputs, config, seed, outputs) -> None:
-    """Hash inputs/outputs and write the manifest atomically (temp file +
-    rename) so a crash never leaves a half-written manifest."""
+def _write_manifest(manifest_path, args, keys, inputs, outputs) -> None:
+    """Hash inputs/outputs, echo the arguments named by ``keys`` as the
+    configuration, and write the manifest atomically (temp file + rename)
+    so a crash never leaves a half-written manifest."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "config": config,
-        "seed": seed,
+        "config": {key: getattr(args, key) for key in keys},
+        "seed": args.seed,
         "tool_version": __version__,
         "outputs": {str(p): _sha256(p) for p in outputs},
     }
@@ -165,6 +166,12 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(active_tol=float(args.tol))
 
 
+def _rating_table(game, ratings) -> dict:
+    """``{player: {strategy: rating}}`` for per-player rating vectors."""
+    return {player: {s: float(r) for s, r in zip(names, row)}
+            for player, names, row in zip(game.players, game.strategies, ratings)}
+
+
 def _rate_payload(args, kind, obj) -> dict:
     method = args.method
     if method == "elo":
@@ -179,7 +186,7 @@ def _rate_payload(args, kind, obj) -> dict:
         return {
             "method": "elo",
             "labels": list(fit.labels),
-            "ratings": {label: float(r) for label, r in zip(fit.labels, fit.ratings)},
+            "ratings": fit.by_label(),
             "converged": bool(fit.converged),
             "iterations": int(fit.iterations),
             "loss": float(fit.loss),
@@ -194,29 +201,12 @@ def _rate_payload(args, kind, obj) -> dict:
         return {
             "method": "nash-avg",
             "players": list(game.players),
-            "ratings": {
-                game.players[p]: {
-                    s: float(r)
-                    for s, r in zip(game.strategies[p], res.ratings[p])
-                }
-                for p in range(2)
-            },
+            "ratings": _rating_table(game, res.ratings),
             "value": float(res.value),
             "unique": bool(res.unique),
         }
     if method == "uniform":
-        ratings = uniform_rating(game)
-        return {
-            "method": "uniform",
-            "players": list(game.players),
-            "ratings": {
-                game.players[p]: {
-                    s: float(r)
-                    for s, r in zip(game.strategies[p], ratings[p])
-                }
-                for p in range(game.num_players)
-            },
-        }
+        return {"method": "uniform", "players": list(game.players), "ratings": _rating_table(game, uniform_rating(game))}
     result = deviation_rating(game, _solver_config(args))
     certificate = rating_certificate(game, result)
     payload = result_to_dict(result, certificate)
@@ -233,16 +223,7 @@ def cmd_rate(args) -> int:
         sys.stdout.write("\n")
         return EXIT_OK
     _dump_json(payload, args.output)
-    config = {
-        "format": args.format,
-        "gamify": args.gamify,
-        "method": args.method,
-        "tol": args.tol,
-        "input": args.input,
-    }
-    _write_manifest(
-        f"{args.output}.manifest.json", "rate", inputs, config, args.seed, [args.output]
-    )
+    _write_manifest(f"{args.output}.manifest.json", args, ("format", "gamify", "method", "tol", "input"), inputs, [args.output])
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -257,15 +238,7 @@ def cmd_contributions(args) -> int:
     matrix = task_contributions(game, result, args.model_player)
     _ensure_parent(args.output)
     save_contributions(matrix, args.output)
-    config = {"model_player": args.model_player, "tol": args.tol, "input": args.input}
-    _write_manifest(
-        f"{args.output}.manifest.json",
-        "contributions",
-        inputs,
-        config,
-        args.seed,
-        [args.output],
-    )
+    _write_manifest(f"{args.output}.manifest.json", args, ("model_player", "tol", "input"), inputs, [args.output])
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -299,23 +272,8 @@ def cmd_simulate(args) -> int:
         for k in range(gaps.shape[1]):
             fh.write(f"{k},{float(np.median(gaps[:, k]))!r}\n")
     outputs.append(aggregate)
-    config_echo = {
-        "method": args.method,
-        "iters": args.iters,
-        "trials": args.trials,
-        "pop_size": args.pop_size,
-        "cull_fraction": args.cull_fraction,
-        "gamify": args.gamify,
-        "input": args.input,
-    }
-    _write_manifest(
-        os.path.join(args.output, "manifest.json"),
-        "simulate",
-        inputs,
-        config_echo,
-        args.seed,
-        outputs,
-    )
+    keys = ("method", "iters", "trials", "pop_size", "cull_fraction", "gamify", "input")
+    _write_manifest(os.path.join(args.output, "manifest.json"), args, keys, inputs, outputs)
     print(f"wrote {len(outputs)} files to {args.output}")
     return EXIT_OK
 
@@ -383,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_default=None, output_required=False,
+    def common(p, output_default=None,
                tol_help="active-constraint tolerance for the rating solver"):
         p.add_argument("--input", required=True,
                        help="game JSON / score-table CSV path, 'shapley', or 'random[:AxB[xC]]'")
@@ -391,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamify", choices=GAMIFY_MODES, default="none")
         p.add_argument("--tol", type=float, default=None, help=tol_help)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", default=output_default, required=output_required)
+        p.add_argument("--output", default=output_default)
 
     rate = sub.add_parser("rate", help="rate strategies and write rating JSON")
     common(rate)

@@ -24,6 +24,7 @@ __all__ = [
     "GameValidationError",
     "UnknownLabelError",
     "NormalFormGame",
+    "label_index",
     "OffsetSpec",
     "build_game",
     "quantize",
@@ -51,6 +52,19 @@ class GameValidationError(GameError):
 
 class UnknownLabelError(GameError):
     """A player or strategy label (or index) does not exist."""
+
+
+def label_index(labels: tuple[str, ...], key, what: str) -> int:
+    """Resolve ``key``, an index or a label, to its position in ``labels``;
+    ``what`` names the labels in the error."""
+    if isinstance(key, (int, np.integer)):
+        if not 0 <= key < len(labels):
+            raise UnknownLabelError(f"{what} index {key} out of range")
+        return int(key)
+    try:
+        return labels.index(key)
+    except ValueError:
+        raise UnknownLabelError(f"unknown {what} {key!r}") from None
 
 
 def quantize(values, decimals: int = QUANT_DECIMALS) -> np.ndarray:
@@ -96,31 +110,12 @@ class NormalFormGame:
 
     def player_index(self, player) -> int:
         """Resolve a player given as index or label."""
-        if isinstance(player, (int, np.integer)):
-            if not 0 <= player < self.num_players:
-                raise UnknownLabelError(f"player index {player} out of range")
-            return int(player)
-        try:
-            return self.players.index(player)
-        except ValueError:
-            raise UnknownLabelError(f"unknown player {player!r}") from None
+        return label_index(self.players, player, "player")
 
     def strategy_index(self, player, strategy) -> int:
         """Resolve a strategy of ``player`` given as index or label."""
         p = self.player_index(player)
-        if isinstance(strategy, (int, np.integer)):
-            if not 0 <= strategy < self.shape[p]:
-                raise UnknownLabelError(
-                    f"strategy index {strategy} out of range for player "
-                    f"{self.players[p]!r}"
-                )
-            return int(strategy)
-        try:
-            return self.strategies[p].index(strategy)
-        except ValueError:
-            raise UnknownLabelError(
-                f"player {self.players[p]!r} has no strategy {strategy!r}"
-            ) from None
+        return label_index(self.strategies[p], strategy, f"player {self.players[p]!r} strategy")
 
     def payoff_spread(self) -> float:
         """Largest per-player payoff range; the natural scale of the game."""

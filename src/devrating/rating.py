@@ -121,8 +121,8 @@ except ImportError as exc:
         "provides the HiGHS solver object the stage LPs are passed to"
     ) from exc
 
-from .cce import JointDistribution, deviation_gains, joint_groups
-from .games import NormalFormGame, symmetrize_payoffs
+from .cce import JointDistribution, deviation_gains, joint_groups, spread_over_groups
+from .games import NormalFormGame, label_index, symmetrize_payoffs
 
 __all__ = [
     "RatingError",
@@ -223,11 +223,10 @@ class RatingResult:
     stage_count: int
 
     def rating(self, player, strategy) -> float:
-        p = self.players.index(player) if isinstance(player, str) else int(player)
-        if isinstance(strategy, str):
-            i = self.strategies[p].index(strategy)
-        else:
-            i = int(strategy)
+        """The rating of a strategy, each of player and strategy given as
+        index or label; ``UnknownLabelError`` for one that does not exist."""
+        p = label_index(self.players, player, "player")
+        i = label_index(self.strategies[p], strategy, f"player {self.players[p]!r} strategy")
         return float(self.ratings[p][i])
 
     def by_label(self) -> dict[str, dict[str, float]]:
@@ -711,7 +710,7 @@ def rate_reduced(game: NormalFormGame, config: SolverConfig = SolverConfig(), sy
     labels = joint_groups(game)
     first = np.unique(labels, return_index=True)[1]
     result = _rate(game, config, first)
-    probs = result.equilibrium.probs[first][labels] / np.bincount(labels)[labels]
+    probs = spread_over_groups(result.equilibrium.probs[first], labels)
     return replace(result, equilibrium=JointDistribution(probs))
 
 

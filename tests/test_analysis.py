@@ -8,6 +8,7 @@ from devrating.analysis import (
     PROPERTY_NAMES,
     check_property,
     dedup_joints,
+    quantize,
     rate_reduced,
     save_contributions,
     symmetrize_payoffs,
@@ -105,8 +106,9 @@ def test_dedup_merges_clone_columns():
     red = dedup_joints(A)
     assert A.num_joints == 20
     assert red.matrix.num_joints == 16
-    groups = [g for g in red.column_groups if len(g) > 1]
-    assert len(groups) == 4  # one per row of the cloned player's opponent
+    assert np.count_nonzero(np.bincount(red.labels) > 1) == 4  # one per row of the cloned player's opponent
+    # each joint's label names the reduced column its column collapsed into
+    assert np.array_equal(red.matrix.values[:, red.labels], quantize(A.values))
     # expansion reproduces row gains
     w = np.random.default_rng(0).dirichlet(np.ones(16))
     assert np.max(np.abs(A.values @ red.expand(w) - red.matrix.values @ w)) < 1e-10
@@ -117,12 +119,12 @@ def test_dedup_identity_on_distinct_columns():
     A = cce_constraint_matrix(g)
     red = dedup_joints(A)
     assert red.matrix.num_joints == A.num_joints
-    assert all(len(grp) == 1 for grp in red.column_groups)
+    assert np.array_equal(red.labels, np.arange(A.num_joints))
 
 
 def test_expand_rejects_a_vector_not_one_per_group():
     red = dedup_joints(cce_constraint_matrix(clone_strategy(random_game(np.random.default_rng(6), (2, 2)), 0, 0)))
-    assert len(red.column_groups) == 4 and red.num_original_joints == 6
+    assert red.labels.max() + 1 == 4 and red.num_original_joints == 6
     for size in (7, 3):
         with pytest.raises(ValueError, match=f"{size} reduced probabilities for 4 groups"):
             red.expand(np.full(size, 1.0 / size))

@@ -101,6 +101,18 @@ def test_elo_first_zero_anchor():
     assert fit.by_label()["b"] == pytest.approx(-200.0, abs=0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("scale", 0.0), ("scale", -400.0), ("scale", np.inf), ("scale", np.nan),
+    ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", np.inf),
+    ("base", 1.0), ("base", 0.5), ("base", np.inf), ("base", np.nan),
+    ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.5),
+    ("anchor", "median-zero"),
+])
+def test_elo_config_rejects_bad_fields(field, value):
+    with pytest.raises(GameValidationError, match=field if field != "anchor" else "unknown anchor"):
+        EloConfig(**{field: value})
+
+
 def test_nash_averaging_matching_pennies():
     res = nash_averaging_2pzs(matching_pennies())
     assert res.value == pytest.approx(0.0, abs=1e-9)

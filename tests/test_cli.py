@@ -6,7 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+import devrating.cli
+import devrating.improve
 from devrating.cli import main
+from devrating.rating import RatingError
 from devrating.games import save_game
 from devrating.gamify import ScoreTable, save_score_table
 from devrating.examples import biased_shapley
@@ -116,6 +119,32 @@ def test_rate_malformed_json_exit_2(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_solver_failure_exit_3(tmp_path, monkeypatch, capsys):
+    def failing(game, config=None):
+        raise RatingError("stage LP failed", "kInfeasible")
+
+    monkeypatch.setattr(devrating.cli, "deviation_rating", failing)
+    monkeypatch.setattr(devrating.improve, "deviation_rating", failing)
+    assert main(["rate", "--input", "shapley", "--output", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err.startswith("error: solver failure: stage LP failed")
+    assert main(["simulate", "--input", "random:3x3", "--iters", "3", "--output", str(tmp_path / "sim")]) == 3
+    assert capsys.readouterr().err.startswith("error: solver failure: iteration 0: stage LP failed")
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "sim" / "manifest.json").exists()
+
+
+def test_manifests_echo_the_configuration(tmp_path, table_csv):
+    out = str(tmp_path / "c.csv")
+    assert main(["contributions", "--input", table_csv, "--output", out, "--tol", "1e-7", "--seed", "3"]) == 0
+    manifest = json.loads(open(out + ".manifest.json").read())
+    assert manifest["config"] == {"model_player": "model_a", "tol": 1e-7, "input": table_csv}
+    assert (manifest["command"], manifest["seed"]) == ("contributions", 3)
+    out = str(tmp_path / "u.json")
+    assert main(["rate", "--input", table_csv, "--gamify", "3p", "--method", "uniform", "--output", out]) == 0
+    manifest = json.loads(open(out + ".manifest.json").read())
+    assert manifest["config"] == {"format": "auto", "gamify": "3p", "method": "uniform", "tol": None, "input": table_csv}
+    assert (manifest["command"], manifest["seed"]) == ("rate", 0)
+
+
 def test_contributions_row_sums(tmp_path, table_csv):
     out = str(tmp_path / "c.csv")
     assert main(["contributions", "--input", table_csv, "--output", out]) == 0
@@ -160,6 +189,10 @@ def test_simulate_writes_trajectories_and_aggregate(tmp_path):
     assert agg[0] == "iteration,median_cce_gap"
     assert len(agg) == 4
     assert all(float(l.split(",")[1]) >= 0.0 for l in agg[1:])
+    manifest = json.loads(open(f"{out}/manifest.json").read())
+    assert manifest["config"] == {"method": "uniform", "iters": 3, "trials": 2, "pop_size": 8,
+                                  "cull_fraction": 0.25, "gamify": "none", "input": "random:2x2"}
+    assert sorted(manifest["outputs"]) == [f"{out}/{name}" for name in names if name != "manifest.json"]
 
 
 def test_simulate_deterministic(tmp_path):

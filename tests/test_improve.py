@@ -14,7 +14,7 @@ from devrating.improve import (
     run_improvement_loop,
     save_trajectory,
 )
-from devrating.rating import deviation_rating
+from devrating.rating import RatingError, deviation_rating
 from devrating.examples import matching_pennies
 
 
@@ -164,6 +164,24 @@ def test_loop_culls_lowest_rated_oldest_first(monkeypatch):
             ids.append(tuple(pid))
             born.append(tuple(pborn))
         pop = Population(tuple(members), k + 1, tuple(ids), tuple(born))
+
+
+def test_loop_wraps_a_rating_failure_with_its_iteration(monkeypatch):
+    calls = []
+    failure = RatingError("stage LP failed", "kInfeasible")
+
+    def failing_at_third_call(meta, solver):
+        calls.append(meta)
+        if len(calls) == 3:
+            raise failure
+        return deviation_rating(meta, solver)
+
+    monkeypatch.setattr(improve, "deviation_rating", failing_at_third_call)
+    game = random_game(np.random.default_rng(2), (3, 3))
+    with pytest.raises(ImprovementLoopError, match="iteration 2: stage LP failed") as info:
+        run_improvement_loop(game, "deviation", LoopConfig(iterations=5, population_size=4, seed=1))
+    assert info.value.iteration == 2
+    assert info.value.__cause__ is failure
 
 
 def test_loop_rejects_unknown_rater():

@@ -19,7 +19,7 @@ import devrating.rating
 from devrating.cce import cce_constraint_matrix, dedup_joints, joint_groups, verify_cce
 from devrating.analysis import check_property
 from devrating.baselines import uniform_rating
-from devrating.games import build_game, clone_strategy, mix_strategy, quantize, random_game, symmetrize_payoffs
+from devrating.games import UnknownLabelError, build_game, clone_strategy, mix_strategy, quantize, random_game, symmetrize_payoffs
 from devrating.gamify import ScoreTable, game_from_table_3p
 from devrating.improve import LoopConfig, run_improvement_loop
 from devrating.rating import (
@@ -56,6 +56,15 @@ def test_prisoners_dilemma_ratings():
     assert res.stage_count <= 4
     # the strictest equilibrium is mutual defection
     assert np.allclose(res.equilibrium.probs, [0, 0, 0, 1], atol=1e-9)
+
+
+def test_rating_lookup_resolves_indices_and_labels():
+    res = deviation_rating(prisoners_dilemma())
+    assert res.rating(1, 0) == res.rating("p2", res.strategies[1][0]) == float(res.ratings[1][0])
+    assert res.rating(np.int64(0), "D") == res.rating("p1", 1)
+    for player, strategy in [(-1, -1), (0, -1), (5, 0), (2, 0), (0, 2), ("nobody", "C"), ("p1", "nope"), (0, "nope")]:
+        with pytest.raises(UnknownLabelError):
+            res.rating(player, strategy)
 
 
 def test_matching_pennies_ratings_zero():
@@ -909,14 +918,6 @@ def test_cyclic_game_rates_in_one_stage_without_the_live_block():
     assert peak < 32 * 2**20
 
 
-def _dedup_labels(reduced) -> np.ndarray:
-    """Each joint's group in the ``dedup_joints`` system ``reduced``."""
-    labels = np.empty(reduced.num_original_joints, dtype=int)
-    for k, group in enumerate(reduced.column_groups):
-        labels[list(group)] = k
-    return labels
-
-
 def _bytewise_labels(game) -> np.ndarray:
     """The duplicate rule one column at a time: quantized columns that are
     bytewise equal share a label, numbered by first occurrence."""
@@ -939,16 +940,16 @@ def test_joint_groups_equal_dense_dedup_groups():
         games.append(symmetrize_payoffs(clone_strategy(clone_strategy(game, "p1", target), "p2", target), 0, 1))
     for game in games:
         labels = joint_groups(game)
-        assert np.array_equal(labels, _dedup_labels(dedup_joints(cce_constraint_matrix(game))))
+        assert np.array_equal(labels, dedup_joints(cce_constraint_matrix(game)).labels)
         assert np.array_equal(labels, _bytewise_labels(game))
     # criterion 10's table: same groups, and the equilibrium spread over
     # them as ReducedConstraintSystem.expand spreads it
     game = game_from_table_3p(_planted_table(2024, 66, 18, copies=4))
     labels, dense = joint_groups(game), dedup_joints(cce_constraint_matrix(game))
-    assert np.array_equal(labels, _dedup_labels(dense)) and labels.max() + 1 == 71_442
+    assert np.array_equal(labels, dense.labels) and labels.max() + 1 == 71_442
     first = np.unique(labels, return_index=True)[1]
     probs = rate_reduced(game).equilibrium.probs
-    assert np.allclose(probs, dense.expand(probs[first] * np.bincount(labels)), rtol=1e-15, atol=0)
+    assert np.array_equal(probs, dense.expand(probs[first] * np.bincount(labels)))
 
 
 def test_thread_solver_reuse_leaves_ratings_bitwise():
