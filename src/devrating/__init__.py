@@ -56,7 +56,6 @@ from .rating import (
     rate_reduced,
     rating_certificate,
     result_to_dict,
-    save_result,
 )
 from .baselines import (
     EloConfig,

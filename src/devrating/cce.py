@@ -10,14 +10,14 @@ deviation gain
 the expected payoff change for player p from overriding every
 recommendation with a'.  Stacking one row per (player, strategy) over all
 joint profiles gives the deviation constraint matrix A, so the epsilon-CCE
-condition is ``A @ sigma <= epsilon`` entrywise.  Joint deduplication
-merges identical columns of A (e.g. those introduced by clones), so the
-rating LPs shrink without changing any rating.
+condition is ``A @ sigma <= epsilon`` entrywise.  The engine reads A from
+the payoff tensors, and ``cce_constraint_matrix`` forms it for tests and
+analysis.  Joints with equal columns of A (e.g. clones) share a group
+label, and ``spread_over_groups`` spreads a group's mass over its joints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,16 +200,6 @@ class CCEConstraintMatrix:
     """
 
     values: np.ndarray
-    players: tuple[str, ...]
-    strategies: tuple[tuple[str, ...], ...]
-    row_keys: tuple[tuple[int, int], ...]
-    row_index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        index = {}
-        for row, (p, i) in enumerate(self.row_keys):
-            index[(self.players[p], self.strategies[p][i])] = row
-        object.__setattr__(self, "row_index", index)
 
     @property
     def num_rows(self) -> int:
@@ -218,16 +208,6 @@ class CCEConstraintMatrix:
     @property
     def num_joints(self) -> int:
         return self.values.shape[1]
-
-    def row(self, player: str, strategy: str) -> int:
-        try:
-            return self.row_index[(player, strategy)]
-        except KeyError:
-            raise KeyError(f"no constraint row for {(player, strategy)!r}") from None
-
-    def iter_rows(self) -> Iterator[tuple[int, str, str]]:
-        for row, (p, i) in enumerate(self.row_keys):
-            yield row, self.players[p], self.strategies[p][i]
 
 
 def cce_constraint_matrix(game: NormalFormGame) -> CCEConstraintMatrix:
@@ -246,12 +226,7 @@ def cce_constraint_matrix(game: NormalFormGame) -> CCEConstraintMatrix:
         np.subtract(np.expand_dims(np.moveaxis(g, p, 0), p + 1), g, out=block)
         r += shape[p]
     rows.setflags(write=False)
-    return CCEConstraintMatrix(
-        values=rows,
-        players=game.players,
-        strategies=game.strategies,
-        row_keys=tuple((p, i) for p, n in enumerate(shape) for i in range(n)),
-    )
+    return CCEConstraintMatrix(rows)
 
 
 def spread_over_groups(reduced_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -267,8 +242,8 @@ class ReducedConstraintSystem:
     """A constraint matrix with duplicate joint columns merged.
 
     ``labels[j]`` is the reduced column that joint j's column collapsed
-    into, numbered in order of first occurrence; mass assigned to a
-    reduced column is spread evenly over its joints on expansion.
+    into, numbered in order of first occurrence; ``spread_over_groups``
+    spreads the mass of each reduced column evenly over its joints.
     """
 
     matrix: CCEConstraintMatrix
@@ -277,9 +252,6 @@ class ReducedConstraintSystem:
     @property
     def num_original_joints(self) -> int:
         return self.labels.size
-
-    def expand(self, reduced_probs: np.ndarray) -> np.ndarray:
-        return spread_over_groups(reduced_probs, self.labels)
 
 
 def _column_labels(values: np.ndarray) -> np.ndarray:
@@ -301,12 +273,7 @@ def dedup_joints(matrix: CCEConstraintMatrix) -> ReducedConstraintSystem:
     """
     vals = quantize(matrix.values)
     labels = _column_labels(vals)
-    reduced = CCEConstraintMatrix(
-        values=vals[:, np.unique(labels, return_index=True)[1]],
-        players=matrix.players,
-        strategies=matrix.strategies,
-        row_keys=matrix.row_keys,
-    )
+    reduced = CCEConstraintMatrix(vals[:, np.unique(labels, return_index=True)[1]])
     return ReducedConstraintSystem(matrix=reduced, labels=labels)
 
 

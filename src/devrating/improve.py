@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import uniform_rating
-from .cce import JointDistribution, cce_gap
+from .cce import DistributionError, JointDistribution, cce_gap
 from .games import GameValidationError, NormalFormGame, build_game
-from .rating import SolverConfig, deviation_rating
+from .rating import RatingError, SolverConfig, deviation_rating
 
 __all__ = [
     "Population",
@@ -43,8 +43,8 @@ RATERS = ("deviation", "uniform")
 
 
 class ImprovementLoopError(RuntimeError):
-    """A rater or solver failure inside the loop, tagged with the
-    iteration it happened at (available as ``.iteration``)."""
+    """A ``RatingError`` or ``DistributionError`` inside the loop, tagged
+    with the iteration it happened at (``.iteration``); others escape."""
 
     def __init__(self, iteration: int, message: str):
         super().__init__(f"iteration {iteration}: {message}")
@@ -260,7 +260,7 @@ def run_improvement_loop(full: NormalFormGame, rater: str = "deviation", config:
         meta = meta_game(full, pop)
         try:
             ratings, lifted = _rate_population(full, meta, pop, rater, config.solver)
-        except Exception as exc:
+        except (RatingError, DistributionError) as exc:
             raise ImprovementLoopError(k, str(exc)) from exc
         gap = cce_gap(full, lifted)
         avg = tuple(float(g.mean()) for g in meta.payoffs)

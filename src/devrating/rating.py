@@ -15,17 +15,18 @@ their gain at the solution found, so stage objectives never increase and
 the rating does not depend on which optimal vertex the solver returns.
 Since a frozen row is tight on the whole optimal face, ``<= r_f`` admits
 the same later optima as ``== r_f`` would, and unlike equations it keeps
-the previous solution's basis usable.  The candidates are the rows whose
-gain is within ``active_tol`` of the optimum t*.  A candidate with a
-nonzero row dual is tight at every optimum by complementary slackness.
-The rest are tested on the optimal face (t fixed at t*) by minimizing
-the sum of their gains: each whose gain there is below t* - ``active_tol``
-is released, and the rest are tested again until none is released.  The
-duals of the unfrozen rows sum to -1 (t has cost 1 and reduced cost 0),
-so some candidate has a nonzero dual: every stage freezes at least one
-row, hence at most sum_p |A_p| stages run, and a sole candidate freezes
-with no further LP.  Rows that are identically zero (e.g. a player with
-a single strategy) are frozen at 0 up front; their rows are vacuous, so
+the previous solution's basis usable.  The candidates are the unfrozen
+rows whose gain is within ``active_tol`` of the optimum t* or whose row
+dual is nonzero.  A candidate with a nonzero row dual is tight at every
+optimum by complementary slackness, whatever its gain.  The rest are
+tested on the optimal face (t fixed at t*) by minimizing the sum of their
+gains: each whose gain there is below t* - ``active_tol`` is released,
+and the rest are tested again until none is released.  The duals of the
+unfrozen rows sum to -1 (t has cost 1 and reduced cost 0), so some
+candidate has a nonzero dual: every stage freezes at least one row, hence
+at most sum_p |A_p| stages run, and a sole candidate freezes with no
+further LP.  Rows that are identically zero (e.g. a player with a single
+strategy) are frozen at 0 up front; their rows are vacuous, so
 this changes nothing except the stage count.
 
 Each stage LP has one row per (player, strategy) but one column per
@@ -137,7 +138,6 @@ __all__ = [
     "rate_reduced",
     "rating_certificate",
     "result_to_dict",
-    "save_result",
 ]
 
 
@@ -155,6 +155,9 @@ FIXED_GAIN_TOL = 1e-3
 # rejected: scipy's post-solve check, its default tol of 1e-9 widened as
 # scipy's _check_result widens it.
 RESIDUAL_TOL = np.sqrt(1e-9) * 10
+# ``RatingCertificate.ok``'s tolerances on epsilon and max_gain_error.
+CERTIFICATE_EPSILON_TOL = 1e-7
+CERTIFICATE_GAIN_TOL = 1e-6
 
 
 class RatingError(Exception):
@@ -519,11 +522,10 @@ class _StageModel:
         """The rows of ``band`` that are tight at every optimum of the stage
         LP just solved, whose optimum is ``objective`` and row duals
         ``row_dual``.  A row with a nonzero dual is, by complementary
-        slackness; a band of one row always holds such a row.  The others
-        are tested by minimizing their sum over the optimal face (t fixed
-        at the optimum); each whose gain there is below ``objective - tol``
-        is released, and the rest are tested again until none is
-        released."""
+        slackness; ``band`` holds every unfrozen such row.  The others are
+        tested by minimizing their sum over the optimal face (t fixed at
+        the optimum); each whose gain there is below ``objective - tol`` is
+        released, and the rest are tested again until none is released."""
         band = np.array(band, dtype=int)
         # a row's dual is the reduced cost of its slack
         tight = np.abs(row_dual[band]) > PRICING_TOL
@@ -675,7 +677,8 @@ def _rate(game: NormalFormGame, config: SolverConfig, live: np.ndarray | None = 
         sigma[model.working] = sigma_working
         # every later stage's optima lie on this stage's optimal face
         model.retire(reduced_costs)
-        band = detect_active(gains, objective, config=config, frozen=frozen)
+        dual_rows = np.array(unfrozen)[np.abs(row_dual[unfrozen]) > PRICING_TOL]
+        band = np.union1d(detect_active(gains, objective, config=config, frozen=frozen), dual_rows)
         active = model.tight_rows(band, objective, row_dual, config.active_tol)
         model.freeze(active, gains[list(active)])
         record(stage, active, objective)
@@ -718,11 +721,10 @@ def rate_reduced(game: NormalFormGame, config: SolverConfig = SolverConfig(), sy
 class RatingCertificate:
     """Self-check of a rating run, recomputed from the equilibrium.
 
-    Discrepancies are reported here rather than raised; ``ok`` applies
-    the default tolerances.  ``epsilon`` and ``max_gain_error`` are in
-    payoff units, and ``ok`` multiplies its tolerances by
-    ``payoff_scale``, max(1, payoff spread), so that float rounding on a
-    game with large payoffs does not fail it.
+    Discrepancies are reported here rather than raised.  ``epsilon`` and
+    ``max_gain_error`` are in payoff units, and ``ok`` multiplies their
+    tolerances, ``CERTIFICATE_*_TOL``, by ``payoff_scale``, max(1, payoff
+    spread), so that float rounding on large payoffs does not fail it.
     """
 
     epsilon: float
@@ -732,10 +734,10 @@ class RatingCertificate:
     stage_bound: int
     payoff_scale: float
 
-    def ok(self, epsilon_tol: float = 1e-7, gain_tol: float = 1e-6) -> bool:
+    def ok(self) -> bool:
         return (
-            self.epsilon <= epsilon_tol * self.payoff_scale
-            and self.max_gain_error <= gain_tol * self.payoff_scale
+            self.epsilon <= CERTIFICATE_EPSILON_TOL * self.payoff_scale
+            and self.max_gain_error <= CERTIFICATE_GAIN_TOL * self.payoff_scale
             and self.objectives_non_increasing
             and self.stage_count <= self.stage_bound
         )
@@ -787,11 +789,3 @@ def result_to_dict(result: RatingResult, certificate: RatingCertificate | None =
         ],
         "certificate": certificate.to_dict() if certificate is not None else None,
     }
-
-
-def save_result(path, result: RatingResult, certificate: RatingCertificate | None = None) -> None:
-    import json
-
-    text = json.dumps(result_to_dict(result, certificate), indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

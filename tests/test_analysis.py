@@ -15,7 +15,7 @@ from devrating.analysis import (
     task_contributions,
 )
 from devrating.baselines import uniform_rating
-from devrating.cce import cce_constraint_matrix
+from devrating.cce import cce_constraint_matrix, spread_over_groups
 from devrating.games import GameValidationError, build_game, clone_strategy, random_game
 from devrating.gamify import ScoreTable, game_from_table_3p
 from devrating.rating import deviation_rating
@@ -111,7 +111,7 @@ def test_dedup_merges_clone_columns():
     assert np.array_equal(red.matrix.values[:, red.labels], quantize(A.values))
     # expansion reproduces row gains
     w = np.random.default_rng(0).dirichlet(np.ones(16))
-    assert np.max(np.abs(A.values @ red.expand(w) - red.matrix.values @ w)) < 1e-10
+    assert np.max(np.abs(A.values @ spread_over_groups(w, red.labels) - red.matrix.values @ w)) < 1e-10
 
 
 def test_dedup_identity_on_distinct_columns():
@@ -127,8 +127,8 @@ def test_expand_rejects_a_vector_not_one_per_group():
     assert red.labels.max() + 1 == 4 and red.num_original_joints == 6
     for size in (7, 3):
         with pytest.raises(ValueError, match=f"{size} reduced probabilities for 4 groups"):
-            red.expand(np.full(size, 1.0 / size))
-    assert red.expand(np.full(4, 0.25)).sum() == pytest.approx(1.0)
+            spread_over_groups(np.full(size, 1.0 / size), red.labels)
+    assert spread_over_groups(np.full(4, 0.25), red.labels).sum() == pytest.approx(1.0)
 
 
 def test_rate_reduced_equals_direct_with_clones():

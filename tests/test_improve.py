@@ -184,6 +184,16 @@ def test_loop_wraps_a_rating_failure_with_its_iteration(monkeypatch):
     assert info.value.__cause__ is failure
 
 
+def test_loop_lets_a_fault_outside_the_rater_escape(monkeypatch):
+    def broken(meta, solver):
+        raise TypeError("not a rating failure")
+
+    monkeypatch.setattr(improve, "deviation_rating", broken)
+    game = random_game(np.random.default_rng(2), (3, 3))
+    with pytest.raises(TypeError, match="not a rating failure"):
+        run_improvement_loop(game, "deviation", LoopConfig(iterations=2, population_size=4, seed=1))
+
+
 def test_loop_rejects_unknown_rater():
     g = random_game(np.random.default_rng(0), (2, 2))
     with pytest.raises(ValueError):

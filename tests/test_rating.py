@@ -16,7 +16,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 import devrating.cce
 import devrating.improve
 import devrating.rating
-from devrating.cce import cce_constraint_matrix, dedup_joints, joint_groups, verify_cce
+from devrating.cce import cce_constraint_matrix, dedup_joints, joint_groups, spread_over_groups, verify_cce
 from devrating.analysis import check_property
 from devrating.baselines import uniform_rating
 from devrating.games import UnknownLabelError, build_game, clone_strategy, mix_strategy, quantize, random_game, symmetrize_payoffs
@@ -167,7 +167,7 @@ def test_scale_invariance_of_normalized_solver():
 
 def test_stage_budget_error(monkeypatch):
     # a stage that freezes nothing exhausts the budget of one stage per row
-    monkeypatch.setattr(devrating.rating, "detect_active", lambda *args, **kwargs: ())
+    monkeypatch.setattr(devrating.rating._StageModel, "tight_rows", lambda self, *args: ())
     g = random_game(np.random.default_rng(2), (3, 3))
     with pytest.raises(StageBudgetError):
         deviation_rating(g)
@@ -519,9 +519,34 @@ def _tied_game(rng, shape):
     )
 
 
-def _discrete_game(k: int):
+# with this seed, _discrete_game(k) has the tensors of game k of the
+# benchmark's ``discrete`` set (perfbench/workloads.py)
+BENCHMARK_DISCRETE_SEED = 20250211
+
+
+def _discrete_game(k: int, seed: int = 7070):
     """A small game with tied integer payoffs in -2..2."""
-    return _tied_game(np.random.default_rng((7070, k)), [(2, 2), (2, 3), (2, 2, 2)][k % 3])
+    return _tied_game(np.random.default_rng((seed, k)), [(2, 2), (2, 3), (2, 2, 2)][k % 3])
+
+
+def test_zero_tolerance_freezes_a_row_every_stage():
+    # stage 1 has a row with dual -0.5 whose gain rounds just off t*: the
+    # zero-width band must still take it, or later bands hold only rows the
+    # face LP releases and the stage budget runs out
+    game = _discrete_game(77, BENCHMARK_DISCRETE_SEED)
+    result = deviation_rating(game, SolverConfig(0.0))
+    assert rating_certificate(game, result).ok()
+    expected, _ = oracle_rating(game)
+    assert np.max(np.abs(np.concatenate(result.ratings) - expected)) <= 1e-9
+
+
+def test_ratings_do_not_depend_on_the_tolerance():
+    for k in range(2, 200, 5):
+        game = _discrete_game(k, BENCHMARK_DISCRETE_SEED)
+        reference = np.concatenate(deviation_rating(game).ratings)
+        for tol in (0.0, 1e-14, 1e-10, 1e-8, 1e-6):
+            ratings = np.concatenate(deviation_rating(game, SolverConfig(tol)).ratings)
+            assert np.max(np.abs(ratings - reference)) <= 1e-12 * max(1.0, game.payoff_spread()), (k, tol)
 
 
 def test_lp_free_stages_match_lp_path(monkeypatch):
@@ -943,13 +968,13 @@ def test_joint_groups_equal_dense_dedup_groups():
         assert np.array_equal(labels, dedup_joints(cce_constraint_matrix(game)).labels)
         assert np.array_equal(labels, _bytewise_labels(game))
     # criterion 10's table: same groups, and the equilibrium spread over
-    # them as ReducedConstraintSystem.expand spreads it
+    # them as spread_over_groups spreads it
     game = game_from_table_3p(_planted_table(2024, 66, 18, copies=4))
     labels, dense = joint_groups(game), dedup_joints(cce_constraint_matrix(game))
     assert np.array_equal(labels, dense.labels) and labels.max() + 1 == 71_442
     first = np.unique(labels, return_index=True)[1]
     probs = rate_reduced(game).equilibrium.probs
-    assert np.array_equal(probs, dense.expand(probs[first] * np.bincount(labels)))
+    assert np.array_equal(probs, spread_over_groups(probs[first] * np.bincount(labels), dense.labels))
 
 
 def test_thread_solver_reuse_leaves_ratings_bitwise():
