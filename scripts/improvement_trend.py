@@ -17,9 +17,7 @@ import sys
 import numpy as np
 
 from devrating.games import random_game
-from devrating.improve import LoopConfig, run_improvement_loop, save_trajectory
-
-RATERS = ("deviation", "uniform")
+from devrating.improve import RATERS, LoopConfig, run_improvement_loop, save_trajectory
 
 
 def parse_shape(text: str):

@@ -12,7 +12,6 @@ from .games import (
     GameValidationError,
     UnknownLabelError,
     NormalFormGame,
-    OffsetSpec,
     build_game,
     quantize,
     clone_strategy,
@@ -32,9 +31,6 @@ from .cce import (
     JointDistribution,
     CCEConstraintMatrix,
     CCECheck,
-    marginal,
-    pairwise_deviation_gain,
-    cce_deviation_gain,
     deviation_gains,
     cce_gap,
     cce_constraint_matrix,
@@ -63,10 +59,8 @@ from .baselines import (
     NashAveragingResult,
     WinProbMatrix,
     elo_fit,
-    load_winprob,
     nash_averaging_2pzs,
     payoff_to_winprob,
-    save_winprob,
     uniform_rating,
 )
 from .gamify import (

@@ -19,7 +19,6 @@ from .cce import ReducedConstraintSystem, dedup_joints
 from .games import (
     GameValidationError,
     NormalFormGame,
-    OffsetSpec,
     append_strategy,
     apply_offset,
     clone_strategy,
@@ -182,8 +181,7 @@ def check_property(game: NormalFormGame, property_name: str, rater: Rater, seed:
     elif property_name == "offset":
         neg_shape = tuple(n for q, n in enumerate(game.shape) if q != p)
         scale = max(1.0, game.payoff_spread())
-        offset = OffsetSpec(p, rng.uniform(-scale, scale, neg_shape))
-        transformed = apply_offset(game, offset)
+        transformed = apply_offset(game, p, rng.uniform(-scale, scale, neg_shape))
         detail = f"offset player {game.players[p]} payoffs"
     elif property_name == "permutation":
         order = rng.permutation(game.shape[p])

@@ -8,7 +8,6 @@ opponent's maximin strategy.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ __all__ = [
     "uniform_rating",
     "WinProbMatrix",
     "payoff_to_winprob",
-    "load_winprob",
-    "save_winprob",
     "EloConfig",
     "EloResult",
     "elo_fit",
@@ -83,36 +80,6 @@ def payoff_to_winprob(labels, payoffs, margin: float) -> WinProbMatrix:
     if np.max(np.abs(arr)) > margin * (1 + 1e-12):
         raise GameValidationError("payoff magnitudes exceed the margin bound")
     return WinProbMatrix(tuple(labels), (arr / margin + 1.0) / 2.0)
-
-
-def load_winprob(path) -> WinProbMatrix:
-    """Read a win-probability CSV: header row and first column carry the
-    same labels; the body is the square matrix."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise GameValidationError(f"win-probability CSV {path} has no data rows")
-    labels = [c.strip() for c in rows[0][1:]]
-    body, row_labels = [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        row_labels.append(row[0].strip())
-        try:
-            body.append([float(x) for x in row[1:]])
-        except ValueError as exc:
-            raise GameValidationError(f"bad number in {path}: {exc}") from None
-    if row_labels != labels:
-        raise GameValidationError("row labels must match header labels in order")
-    return WinProbMatrix(tuple(labels), np.array(body))
-
-
-def save_winprob(matrix: WinProbMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["strategy", *matrix.labels])
-        for label, row in zip(matrix.labels, matrix.probs):
-            writer.writerow([label, *[repr(float(x)) for x in row]])
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,6 @@ __all__ = [
     "JointDistribution",
     "CCEConstraintMatrix",
     "CCECheck",
-    "marginal",
-    "pairwise_deviation_gain",
-    "cce_deviation_gain",
     "deviation_gains",
     "cce_gap",
     "cce_constraint_matrix",
@@ -81,12 +78,6 @@ class JointDistribution:
     def uniform(cls, size: int) -> "JointDistribution":
         return cls(np.full(size, 1.0 / size))
 
-    @classmethod
-    def point_mass(cls, size: int, index: int) -> "JointDistribution":
-        probs = np.zeros(size)
-        probs[index] = 1.0
-        return cls(probs)
-
     @property
     def size(self) -> int:
         return self.probs.size
@@ -101,38 +92,6 @@ def _check_size(game: NormalFormGame, sigma: JointDistribution) -> None:
             f"distribution over {sigma.size} joints does not match game "
             f"with {game.num_joints}"
         )
-
-
-def marginal(game: NormalFormGame, sigma: JointDistribution, player) -> np.ndarray:
-    """Marginal distribution of one player's recommended strategy."""
-    _check_size(game, sigma)
-    p = game.player_index(player)
-    axes = tuple(q for q in range(game.num_players) if q != p)
-    return sigma.as_tensor(game.shape).sum(axis=axes)
-
-
-def pairwise_deviation_gain(game: NormalFormGame, sigma: JointDistribution, player, deviation, recommendation) -> float:
-    """Expected gain for ``player`` from playing ``deviation`` whenever
-    ``recommendation`` is drawn for them (other recommendations obeyed)."""
-    _check_size(game, sigma)
-    p = game.player_index(player)
-    i_dev = game.strategy_index(p, deviation)
-    i_rec = game.strategy_index(p, recommendation)
-    g = game.payoffs[p]
-    sig_rec = np.take(sigma.as_tensor(game.shape), i_rec, axis=p)
-    diff = np.take(g, i_dev, axis=p) - np.take(g, i_rec, axis=p)
-    return float(np.sum(sig_rec * diff))
-
-
-def cce_deviation_gain(game: NormalFormGame, sigma: JointDistribution, player, deviation) -> float:
-    """Expected gain for ``player`` from always playing ``deviation``.
-
-    Equals the sum of pairwise gains over all recommendations.
-    """
-    _check_size(game, sigma)
-    p = game.player_index(player)
-    i_dev = game.strategy_index(p, deviation)
-    return float(_player_gains(game, sigma, p)[i_dev])
 
 
 def _player_gains(game: NormalFormGame, sigma: JointDistribution, p: int) -> np.ndarray:

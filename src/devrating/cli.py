@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .gamify import (
     load_score_table,
     pairwise_margins,
 )
-from .improve import ImprovementLoopError, LoopConfig, run_improvement_loop, save_trajectory
+from .improve import RATERS, ImprovementLoopError, LoopConfig, run_improvement_loop, save_trajectory
 from .rating import (
     RatingError,
     SolverConfig,
@@ -78,35 +77,34 @@ def _ensure_parent(path) -> None:
 
 
 def _dump_json(obj, path) -> None:
+    """Write ``obj`` as sorted, indented JSON atomically (temp file +
+    rename), so a crash never leaves a half-written file."""
     _ensure_parent(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_manifest(manifest_path, args, keys, inputs, outputs) -> None:
-    """Hash inputs/outputs, echo the arguments named by ``keys`` as the
-    configuration, and write the manifest atomically (temp file + rename)
-    so a crash never leaves a half-written manifest."""
-    manifest = {
-        "command": args.command,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "config": {key: getattr(args, key) for key in keys},
-        "seed": args.seed,
-        "tool_version": __version__,
-        "outputs": {str(p): _sha256(p) for p in outputs},
-    }
-    directory = os.path.dirname(os.path.abspath(manifest_path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        os.replace(tmp, manifest_path)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_manifest(manifest_path, args, inputs, outputs) -> None:
+    """Hash inputs/outputs and echo every parsed argument but the
+    command, seed and output as the configuration."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "func", "seed", "output")}
+    _dump_json({
+        "command": args.command,
+        "inputs": {str(p): _sha256(p) for p in inputs},
+        "config": config,
+        "seed": args.seed,
+        "tool_version": __version__,
+        "outputs": {str(p): _sha256(p) for p in outputs},
+    }, manifest_path)
 
 
 def _parse_random_spec(spec: str, rng: np.random.Generator) -> NormalFormGame:
@@ -223,7 +221,7 @@ def cmd_rate(args) -> int:
         sys.stdout.write("\n")
         return EXIT_OK
     _dump_json(payload, args.output)
-    _write_manifest(f"{args.output}.manifest.json", args, ("format", "gamify", "method", "tol", "input"), inputs, [args.output])
+    _write_manifest(f"{args.output}.manifest.json", args, inputs, [args.output])
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -233,19 +231,19 @@ def cmd_contributions(args) -> int:
     kind, obj, inputs = _load_input(args, rng)
     if kind != "table":
         raise InputFormatError("contributions requires a score-table CSV input")
+    if args.gamify == "2pzs":
+        raise InputFormatError("contributions rates the three-player game; use --gamify 3p or none")
     game = game_from_table_3p(obj)
     result = deviation_rating(game, _solver_config(args))
     matrix = task_contributions(game, result, args.model_player)
     _ensure_parent(args.output)
     save_contributions(matrix, args.output)
-    _write_manifest(f"{args.output}.manifest.json", args, ("model_player", "tol", "input"), inputs, [args.output])
+    _write_manifest(f"{args.output}.manifest.json", args, inputs, [args.output])
     print(f"wrote {args.output}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    if args.method not in ("deviation", "uniform"):
-        raise InputFormatError("simulate supports --method deviation or uniform")
     rng = np.random.default_rng(args.seed)
     kind, obj, inputs = _load_input(args, rng)
     game = _gamified_game(kind, obj, args.gamify)
@@ -272,15 +270,12 @@ def cmd_simulate(args) -> int:
         for k in range(gaps.shape[1]):
             fh.write(f"{k},{float(np.median(gaps[:, k]))!r}\n")
     outputs.append(aggregate)
-    keys = ("method", "iters", "trials", "pop_size", "cull_fraction", "gamify", "input")
-    _write_manifest(os.path.join(args.output, "manifest.json"), args, keys, inputs, outputs)
+    _write_manifest(os.path.join(args.output, "manifest.json"), args, inputs, outputs)
     print(f"wrote {len(outputs)} files to {args.output}")
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    if args.method not in ("deviation", "uniform"):
-        raise InputFormatError("check supports --method deviation or uniform")
     rater = deviation_rating if args.method == "deviation" else uniform_rating
     rng = np.random.default_rng(args.seed)
     fixed = None
@@ -365,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the population improvement loop")
     common(sim, output_default="simulate_out")
-    sim.add_argument("--method", choices=("deviation", "uniform"), default="deviation")
+    sim.add_argument("--method", choices=RATERS, default="deviation")
     sim.add_argument("--iters", type=int, default=200)
     sim.add_argument("--trials", type=positive_int, default=1, help="number of seeds to run")
     sim.add_argument("--pop-size", type=int, default=8)
@@ -376,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(check, tol_help="largest deviation a property check passes with "
                            "(default: the property's own); the ratings use the default solver tolerance")
     check.add_argument("--property", choices=PROPERTY_NAMES, required=True)
-    check.add_argument("--method", choices=("deviation", "uniform"), default="deviation")
+    check.add_argument("--method", choices=RATERS, default="deviation")
     check.add_argument("--trials", type=positive_int, default=100)
     check.set_defaults(func=cmd_check)
 

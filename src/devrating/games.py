@@ -25,7 +25,6 @@ __all__ = [
     "UnknownLabelError",
     "NormalFormGame",
     "label_index",
-    "OffsetSpec",
     "build_game",
     "quantize",
     "clone_strategy",
@@ -248,24 +247,16 @@ def mix_strategy(game: NormalFormGame, player, weights, label: str | None = None
     return append_strategy(game, p, label, slices)
 
 
-@dataclass(frozen=True)
-class OffsetSpec:
-    """A per-opponent-profile additive offset to one player's payoffs.
+def apply_offset(game: NormalFormGame, player, values) -> NormalFormGame:
+    """Add an own-strategy-independent offset to one player's payoffs.
 
-    ``values`` has the game's shape with the player's own axis removed;
-    the same offset is added regardless of the player's own strategy, so
-    payoff differences between own strategies are untouched.
+    ``values`` has the game's shape with ``player``'s own axis removed;
+    the same offset is added whatever the player's own strategy, so
+    payoff differences between its own strategies are untouched.
     """
-
-    player: str | int
-    values: np.ndarray
-
-
-def apply_offset(game: NormalFormGame, offset: OffsetSpec) -> NormalFormGame:
-    """Add an own-strategy-independent offset to one player's payoffs."""
-    p = game.player_index(offset.player)
+    p = game.player_index(player)
     neg_shape = tuple(n for q, n in enumerate(game.shape) if q != p)
-    vals = np.asarray(offset.values, dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64)
     if vals.shape != neg_shape:
         raise GameValidationError(
             f"offset for player {game.players[p]!r} has shape {vals.shape}, "

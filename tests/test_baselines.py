@@ -5,10 +5,8 @@ from devrating.baselines import (
     EloConfig,
     WinProbMatrix,
     elo_fit,
-    load_winprob,
     nash_averaging_2pzs,
     payoff_to_winprob,
-    save_winprob,
     uniform_rating,
 )
 from devrating.games import GameValidationError, build_game, random_game
@@ -50,16 +48,6 @@ def test_payoff_to_winprob_affine_map():
         payoff_to_winprob(labels, payoffs, margin=0.25)  # exceeds margin
     with pytest.raises(GameValidationError):
         payoff_to_winprob(labels, payoffs, margin=0.0)
-
-
-def test_winprob_csv_roundtrip(tmp_path):
-    m = payoff_to_winprob(("x", "y", "z"), np.array(
-        [[0.0, 0.2, -0.4], [-0.2, 0.0, 0.6], [0.4, -0.6, 0.0]]), margin=1.0)
-    path = tmp_path / "wp.csv"
-    save_winprob(m, path)
-    back = load_winprob(path)
-    assert back.labels == m.labels
-    assert np.array_equal(back.probs, m.probs)
 
 
 def test_elo_two_model_reference_gap():

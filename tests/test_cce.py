@@ -7,15 +7,12 @@ from devrating.cce import (
     DistributionError,
     JointDistribution,
     cce_constraint_matrix,
-    cce_deviation_gain,
     cce_gap,
     deviation_gains,
-    marginal,
-    pairwise_deviation_gain,
     verify_cce,
 )
-from devrating.games import OffsetSpec, apply_offset, random_game
-from devrating.examples import matching_pennies, prisoners_dilemma
+from devrating.games import apply_offset, random_game
+from devrating.examples import prisoners_dilemma
 
 from oracles import oracle_constraint_rows, oracle_deviation_gain
 
@@ -35,7 +32,7 @@ def test_joint_distribution_validation():
 
 
 def test_point_mass_and_uniform():
-    d = JointDistribution.point_mass((2, 3), (1, 2))
+    d = JointDistribution(np.eye(6)[1 * 3 + 2])
     assert d.probs[1 * 3 + 2] == 1.0
     u = JointDistribution.uniform(6)
     assert np.allclose(u.probs, 1 / 6)
@@ -43,25 +40,16 @@ def test_point_mass_and_uniform():
     assert t.shape == (2, 3)
 
 
-def test_marginal_of_product():
-    g = matching_pennies()
-    sigma = JointDistribution(np.outer([0.3, 0.7], [0.6, 0.4]).reshape(-1))
-    assert np.allclose(marginal(g, sigma, 0), [0.3, 0.7])
-    assert np.allclose(marginal(g, sigma, 1), [0.6, 0.4])
-
-
 def test_pairwise_gain_prisoners_dilemma():
     g = prisoners_dilemma()
-    sigma = JointDistribution.point_mass((2, 2), (0, 0))  # both cooperate
+    sigma = JointDistribution(np.eye(4)[0])  # both cooperate
     # defecting against C yields temptation 5 over reward 3
-    assert pairwise_deviation_gain(g, sigma, 0, "D", "C") == pytest.approx(2.0)
-    gain = cce_deviation_gain(g, sigma, 0, "D")
-    assert gain == pytest.approx(2.0)
+    assert deviation_gains(g, sigma)[0][g.strategy_index(0, "D")] == pytest.approx(2.0)
 
 
 def test_gains_at_dd_are_nonpositive():
     g = prisoners_dilemma()
-    sigma = JointDistribution.point_mass((2, 2), (1, 1))
+    sigma = JointDistribution(np.eye(4)[3])
     gains = deviation_gains(g, sigma)
     assert gains[0][1] == pytest.approx(0.0)
     assert gains[0][0] == pytest.approx(-1.0)
@@ -71,15 +59,15 @@ def test_gains_at_dd_are_nonpositive():
 
 def test_cce_gap_clips_negatives():
     g = prisoners_dilemma()
-    cc = JointDistribution.point_mass((2, 2), (0, 0))
-    dd = JointDistribution.point_mass((2, 2), (1, 1))
+    cc = JointDistribution(np.eye(4)[0])
+    dd = JointDistribution(np.eye(4)[3])
     assert cce_gap(g, cc) == pytest.approx(4.0)  # both can gain 2
     assert cce_gap(g, dd) == 0.0
 
 
 def test_verify_cce_reports_worst_row():
     g = prisoners_dilemma()
-    cc = JointDistribution.point_mass((2, 2), (0, 0))
+    cc = JointDistribution(np.eye(4)[0])
     check = verify_cce(g, cc)
     assert not check.ok
     assert check.worst_strategy == "D"
@@ -130,8 +118,7 @@ def test_gains_are_offset_invariant(seed):
     shape = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
     g = random_game(rng, shape)
     p = int(rng.integers(2))
-    off = OffsetSpec(p, rng.uniform(-5, 5, tuple(n for q, n in enumerate(shape) if q != p)))
-    shifted = apply_offset(g, off)
+    shifted = apply_offset(g, p, rng.uniform(-5, 5, tuple(n for q, n in enumerate(shape) if q != p)))
     sigma = _random_sigma(rng, g.num_joints)
     before = np.concatenate(deviation_gains(g, sigma))
     after = np.concatenate(deviation_gains(shifted, sigma))
@@ -146,8 +133,9 @@ def test_gain_matches_explicit_loop_oracle(seed):
     g = random_game(rng, shape)
     sigma = _random_sigma(rng, g.num_joints)
     tensor = sigma.as_tensor(g.shape)
+    gains = deviation_gains(g, sigma)
     for p in range(g.num_players):
         for a in range(g.shape[p]):
             want = oracle_deviation_gain(g, tensor, p, a)
-            got = cce_deviation_gain(g, sigma, p, a)
+            got = gains[p][a]
             assert got == pytest.approx(want, abs=1e-11)

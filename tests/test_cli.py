@@ -136,7 +136,8 @@ def test_manifests_echo_the_configuration(tmp_path, table_csv):
     out = str(tmp_path / "c.csv")
     assert main(["contributions", "--input", table_csv, "--output", out, "--tol", "1e-7", "--seed", "3"]) == 0
     manifest = json.loads(open(out + ".manifest.json").read())
-    assert manifest["config"] == {"model_player": "model_a", "tol": 1e-7, "input": table_csv}
+    assert manifest["config"] == {"format": "auto", "gamify": "none", "model_player": "model_a",
+                                  "tol": 1e-7, "input": table_csv}
     assert (manifest["command"], manifest["seed"]) == ("contributions", 3)
     out = str(tmp_path / "u.json")
     assert main(["rate", "--input", table_csv, "--gamify", "3p", "--method", "uniform", "--output", out]) == 0
@@ -160,6 +161,23 @@ def test_contributions_row_sums(tmp_path, table_csv):
 def test_contributions_rejects_game_json(tmp_path, shapley_json):
     assert main(["contributions", "--input", shapley_json,
                  "--output", str(tmp_path / "c.csv")]) == 2
+
+
+def test_contributions_rejects_gamify_2pzs(tmp_path, table_csv, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["contributions", "--input", table_csv, "--gamify", "2pzs", "--output", str(out)]) == 2
+    assert "--gamify 3p or none" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["contributions", "--input", table_csv, "--gamify", "3p", "--output", str(out)]) == 0
+
+
+def test_dump_json_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "x.json"
+    devrating.cli._dump_json({"a": 1}, str(path))
+    with pytest.raises(TypeError):
+        devrating.cli._dump_json({"a": object()}, str(path))
+    assert path.read_text() == '{\n  "a": 1\n}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
 
 def test_outputs_create_missing_parent_dirs(tmp_path, shapley_json, table_csv):
@@ -191,7 +209,8 @@ def test_simulate_writes_trajectories_and_aggregate(tmp_path):
     assert all(float(l.split(",")[1]) >= 0.0 for l in agg[1:])
     manifest = json.loads(open(f"{out}/manifest.json").read())
     assert manifest["config"] == {"method": "uniform", "iters": 3, "trials": 2, "pop_size": 8,
-                                  "cull_fraction": 0.25, "gamify": "none", "input": "random:2x2"}
+                                  "cull_fraction": 0.25, "format": "auto", "gamify": "none",
+                                  "tol": None, "input": "random:2x2"}
     assert sorted(manifest["outputs"]) == [f"{out}/{name}" for name in names if name != "manifest.json"]
 
 

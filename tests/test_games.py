@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from devrating.games import (
     GameValidationError,
     UnknownLabelError,
-    OffsetSpec,
     append_strategy,
     apply_offset,
     build_game,
@@ -114,13 +113,13 @@ def test_append_strategy_shape_checks():
 
 def test_apply_offset_changes_only_target_player():
     g = matching_pennies()
-    off = OffsetSpec(1, np.array([3.0, -2.0]))
-    shifted = apply_offset(g, off)
+    values = np.array([3.0, -2.0])
+    shifted = apply_offset(g, 1, values)
     assert np.allclose(shifted.payoffs[0], g.payoffs[0])
     # Player 2's payoff moves by the offset indexed by the opponent action.
     for i in range(2):
         for j in range(2):
-            assert shifted.payoffs[1][i, j] == g.payoffs[1][i, j] + off.values[i]
+            assert shifted.payoffs[1][i, j] == g.payoffs[1][i, j] + values[i]
 
 
 def test_permute_strategies_roundtrip():

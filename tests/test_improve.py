@@ -75,7 +75,7 @@ def test_lift_point_mass_and_uniform_collapse():
     g = random_game(np.random.default_rng(1), (2, 2))
     mem = np.array([[0.5, 0.5], [1.0, 0.0]])
     pop = Population(members=(mem, mem))
-    lifted = lift_to_full(JointDistribution.point_mass((2, 2), (1, 1)), pop, g)
+    lifted = lift_to_full(JointDistribution(np.eye(4)[3]), pop, g)
     assert np.allclose(lifted.probs, [1, 0, 0, 0])
     pop_u = Population(members=(np.full((3, 2), 0.5), np.full((3, 2), 0.5)))
     sigma = JointDistribution(np.random.default_rng(2).dirichlet(np.ones(9)))
