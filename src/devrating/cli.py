@@ -122,6 +122,8 @@ def _parse_random_spec(spec: str, rng: np.random.Generator) -> NormalFormGame:
 def _load_input(args, rng: np.random.Generator):
     """Resolve --input/--format into ('game'|'table', object, file paths)."""
     spec = args.input
+    if args.format != "auto" and (spec == "shapley" or _RANDOM_SPEC.match(spec)):
+        raise InputFormatError(f"--format applies to input files, not the generator spec {spec!r}")
     if spec == "shapley":
         return "game", biased_shapley(), []
     if _RANDOM_SPEC.match(spec):
@@ -147,7 +149,7 @@ def _load_input(args, rng: np.random.Generator):
 def _gamified_game(kind, obj, gamify):
     if kind == "game":
         if gamify != "none":
-            raise InputFormatError("--gamify applies to score tables, not game JSON")
+            raise InputFormatError("--gamify applies to score tables, not games")
         return obj
     if gamify == "3p":
         return game_from_table_3p(obj)
@@ -278,14 +280,16 @@ def cmd_simulate(args) -> int:
 def cmd_check(args) -> int:
     rater = deviation_rating if args.method == "deviation" else uniform_rating
     rng = np.random.default_rng(args.seed)
-    fixed = None
-    if not _RANDOM_SPEC.match(args.input):
-        kind, obj, _ = _load_input(args, rng)
-        fixed = _gamified_game(kind, obj, args.gamify)
 
+    def load() -> NormalFormGame:
+        kind, obj, _ = _load_input(args, rng)
+        return _gamified_game(kind, obj, args.gamify)
+
+    # a random spec draws a game per trial; any other input is one game
+    fixed = None if _RANDOM_SPEC.match(args.input) else load()
     worst = None
     for trial in range(args.trials):
-        game = fixed if fixed is not None else _parse_random_spec(args.input, rng)
+        game = fixed if fixed is not None else load()
         report = check_property(
             game, args.property, rater, seed=args.seed + trial, tolerance=args.tol
         )

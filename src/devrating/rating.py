@@ -95,9 +95,31 @@ e_p(a) = max_b G_p(b, a_-p) - G_p(a) is also the largest value of player
 p's rows at a.  A block of columns is gathered from the tensors, pricing
 all joints takes one contraction of e_p per player, and the live joints'
 columns form one dense block once a joint retires or a span test runs.
+
+A swap of players p and q maps a game to itself when they have as many
+strategies, G_q is G_p with axes p and q swapped, and every other
+player's tensor is unchanged by the swap (``_player_swap``, which
+compares the quantized tensors exactly); ``gamify.game_from_table_3p``
+games have such a swap of their two model players.  Every stage LP, and
+so its optimal face, is then unchanged by the swap: twin rows (p, s) and
+(q, s) freeze together at equal bounds.  The mean of an optimum and its
+swap is an optimum, and a row slack at some optimum is slack there too.
+So each stage's objective and the rows tight at every optimum are those
+of the LP over distributions that the swap leaves unchanged, its orbit
+quotient (LP symmetry reduction; Bödi, Herr and Joswig, Math.
+Programming 2013), applied at every stage.  That LP has one column per
+orbit {a, swap(a)}, the mean of the orbit's columns, standing at the
+orbit's smaller joint, and no rows for q, whose gains equal p's there.
+``_Constraints`` is this quotient whenever a swap exists, so the loop
+above runs on it unchanged, over half the columns and without q's rows.
+Each freeze record lists q's rows beside p's, q's ratings are copies of
+p's, and the equilibrium splits each orbit's mass evenly over its
+joints.  A game with no swap takes exactly the path above.
+
 ``rate_reduced`` runs the same loop on the first joint of each group of
 duplicate joints (``cce.joint_groups``, also read from the payoff
-tensors) and spreads the equilibrium evenly over each group.
+tensors), each group joined with its swapped group when a swap exists,
+and spreads the equilibrium evenly over each.
 
 Ratings are invariant to cloning, payoff offsets, and strategy
 relabeling, and never exceed 0.  They are invariant to mixing on generic
@@ -242,6 +264,24 @@ class RatingResult:
         }
 
 
+def _player_swap(game: NormalFormGame) -> tuple[int, int] | None:
+    """The first players p < q whose exchange maps ``game`` to itself, or
+    None: they have as many strategies, G_q is G_p with axes p and q
+    swapped, and every other player's tensor is unchanged by the swap.
+    Payoffs are quantized when a game is built, so tensors are compared
+    for exact equality."""
+    g, shape = game.payoffs, game.shape
+    for q in range(len(g)):
+        for p in range(q):
+            # the joint of every player's first strategy is its own swap:
+            # a test of one payoff that rules out most games
+            if shape[p] == shape[q] and g[p].item(0) == g[q].item(0) and all(
+                (g[q if r == p else r] == np.swapaxes(g[r], p, q)).all() for r in range(len(g)) if r != q
+            ):
+                return p, q
+    return None
+
+
 class _Constraints:
     """The deviation constraint matrix of a game divided by its payoff
     spread, read from the payoff tensors and never formed.
@@ -251,21 +291,54 @@ class _Constraints:
     a is G_p(a', a_-p) - G_p(a), gathered from G_p at the strategy
     profile a with a_p replaced by a'; ``_excess[p]`` is e_p(a) =
     max_b G_p(b, a_-p) - G_p(a), the largest of player p's rows at a,
-    divided by the spread."""
+    divided by the spread.
+
+    When a swap of players p and q maps the game to itself
+    (``_player_swap``), the matrix is that of its orbit quotient: the LP
+    rows are the constraint rows without q's, and a joint's column is the
+    mean of its orbit's columns, so the LP is over distributions that the
+    swap leaves unchanged."""
 
     def __init__(self, game: NormalFormGame):
         self.spread = game.payoff_spread() or 1.0
-        self._shape = game.shape
-        self.num_rows = sum(self._shape)
+        self._shape = shape = game.shape
         self._payoffs = game.payoffs
         self._excess = [(g.max(axis=p, keepdims=True) - g) / self.spread for p, g in enumerate(game.payoffs)]
         # each player's e_p with its own axis first, built on first use:
         # a rating whose working set holds every joint never prices here
         self._views = None
+        # row_of[i] is the LP row of constraint row i; with a swap of
+        # players p and q, q's rows share p's LP rows, ``swap`` maps each
+        # joint to the swapped one, and ``_share`` is the part of an LP
+        # row's dual that each of its constraint rows gets in ``price``
+        self._pair = _player_swap(game)
+        self.row_of = np.arange(sum(shape))
+        self.swap = None
+        if self._pair is not None:
+            p, q = self._pair
+            start = np.cumsum((0,) + shape)
+            self.row_of[start[q] :] -= shape[q]
+            self.row_of[start[q] : start[q + 1]] = self.row_of[start[p] : start[p + 1]]
+            self.swap = np.arange(game.num_joints).reshape(shape).swapaxes(p, q).ravel()
+            self._share = 1.0 / np.bincount(self.row_of)[self.row_of]
+        self.num_rows = int(self.row_of.max()) + 1
+
+    def representatives(self, joints: np.ndarray) -> np.ndarray:
+        """The joints of ``joints`` that stand for their orbit: all of
+        them, or with a swap, those no larger than their swapped joint."""
+        return joints if self.swap is None else joints[joints <= self.swap[joints]]
+
+    def split_orbits(self, sigma: np.ndarray) -> np.ndarray:
+        """The distribution over every joint that ``sigma``, over orbit
+        representatives, stands for: each orbit's mass split evenly."""
+        return sigma if self.swap is None else (sigma + sigma[self.swap]) / 2
 
     def joint_max(self) -> np.ndarray:
-        """The largest constraint value at each joint."""
-        return np.maximum.reduce([e.ravel() for e in self._excess])
+        """The largest constraint value at each joint.  With a swap, its
+        mean over the joint's orbit: a start key read from the tensors, as
+        the largest value of an orbit's column would need every column."""
+        top = np.maximum.reduce([e.ravel() for e in self._excess])
+        return top if self.swap is None else (top + top[self.swap]) / 2
 
     def tie_key(self, joints: np.ndarray) -> np.ndarray:
         """The diagonal of the strategy grid that each of ``joints`` lies
@@ -275,7 +348,13 @@ class _Constraints:
         as one mixed-radix number.  A diagonal holds one joint per strategy
         of m, and as a_m runs over them, floor(a_m n_p / N) runs over every
         strategy of p, so each diagonal holds every strategy of every
-        player."""
+        player.  With a swap, an orbit's key is the smaller of its joints'
+        keys: a diagonal's joints then lie in at most N orbits, which share
+        its key and hold every strategy of every player."""
+        key = self._diagonal(joints)
+        return key if self.swap is None else np.minimum(key, self._diagonal(self.swap[joints]))
+
+    def _diagonal(self, joints: np.ndarray) -> np.ndarray:
         m = int(np.argmax(self._shape))
         a = np.unravel_index(joints, self._shape)
         key = np.zeros(joints.size, dtype=int)
@@ -301,24 +380,41 @@ class _Constraints:
         return np.sort(np.concatenate((below, tied)))
 
     def zero_rows(self) -> np.ndarray:
-        """The rows that are zero at every joint: all of a player's rows
+        """The LP rows that are zero at every joint: all of a player's rows
         are, exactly when its payoffs do not depend on its own strategy."""
-        return np.repeat([not e.any() for e in self._excess], self._shape)
+        zero = [np.full(n, not e.any()) for e, n in zip(self._excess, self._shape)]
+        if self._pair is not None:
+            zero.pop(self._pair[1])
+        return np.concatenate(zero)
 
     def columns(self, joints: np.ndarray) -> np.ndarray:
         """The columns of ``joints``, as ``cce_constraint_matrix`` computes
         them, divided by the spread: player p's rows gather G_p at the
         strategy profiles a of ``joints`` with a_p replaced by each of p's
-        strategies, minus G_p(a)."""
+        strategies, minus G_p(a).  With a swap, a column is the mean of
+        the columns of a joint and its swapped joint on the LP rows.  The
+        rows of q at the swapped joint are those of p at the joint, so the
+        mean holds the mean of p's and q's rows on p's rows; every other
+        player's rows are equal at both joints."""
         a = np.unravel_index(joints, self._shape)
-        return np.concatenate([
+        blocks = [
             g[a[:p] + (np.arange(n)[:, None],) + a[p + 1 :]] - g[a]
             for p, (g, n) in enumerate(zip(self._payoffs, self._shape))
-        ]) / self.spread
+        ]
+        if self._pair is not None:
+            p, q = self._pair
+            blocks[p] = (blocks[p] + blocks.pop(q)) / 2
+        return np.concatenate(blocks) / self.spread
 
     def price(self, y: np.ndarray) -> np.ndarray:
-        """``y`` times the matrix, over every joint: per player,
-        sum(y_p) e_p(a) - sum_a' y_p,a' e_p(a', a_-p)."""
+        """``y``, one dual per LP row, times the matrix, over every joint:
+        per player, sum(y_p) e_p(a) - sum_a' y_p,a' e_p(a', a_-p).  With a
+        swap, this is the mean over each orbit of the price with p's duals
+        on p's rows and zeros on q's; by the same symmetry as in
+        ``columns``, it equals the price with half of p's duals on each of
+        p's and q's rows, the same at a joint and its swapped joint."""
+        if self._pair is not None:
+            y = y[self.row_of] * self._share
         if self._views is None:
             self._views = [np.moveaxis(e, p, 0).reshape(e.shape[p], -1) for p, e in enumerate(self._excess)]
         total = np.zeros(self._shape)
@@ -366,7 +462,7 @@ class _StageModel:
 
     Column 0 is t and the others are the ``working`` joints, in the order
     they joined; ``working_values`` holds their constraint columns.  Row i
-    is constraint row i, A_i @ sigma - t <= 0 while unfrozen and
+    is LP row i of the constraints, A_i @ sigma - t <= 0 while unfrozen and
     A_i @ sigma <= r once frozen at r; the last row is the simplex row.
     The cost of t is 1 and the cost of a joint column is ``weights @ A``
     at that joint: zero for a stage LP, the indicator of the rows whose
@@ -630,17 +726,23 @@ def _fixed(values: np.ndarray, pins: Sequence[int], rows: Sequence[int], tol: fl
 
 def _rate(game: NormalFormGame, config: SolverConfig, live: np.ndarray | None = None) -> RatingResult:
     """Run the freezing loop on the constraints of ``game``, over every
-    joint or over the sorted joints ``live``; the equilibrium is 0 off
-    ``live``."""
+    joint or over the sorted joints ``live``, or with a swap, over the
+    orbit representatives among them; the equilibrium is 0 off the orbits
+    of ``live``."""
     constraints = _Constraints(game)
     factor = constraints.spread
     num_rows, num_joints = constraints.num_rows, game.num_joints
     labels = [(game.players[p], s) for p, names in enumerate(game.strategies) for s in names]
-    live = np.arange(num_joints) if live is None else live
+    live = constraints.representatives(np.arange(num_joints) if live is None else live)
     log: list[FreezeRecord] = []
+    members: list[list[int]] = [[] for _ in range(num_rows)]
+    for r, i in enumerate(constraints.row_of.tolist()):
+        members[i].append(r)
 
     def record(stage: int, rows: tuple[int, ...], objective: float) -> None:
-        log.append(FreezeRecord(stage, tuple(labels[i] for i in rows), objective * factor))
+        # the constraint rows that the LP rows stand for, in row order
+        full = sorted(r for i in rows for r in members[i])
+        log.append(FreezeRecord(stage, tuple(labels[r] for r in full), objective * factor))
 
     model = _StageModel(constraints, constraints.initial_joints(live), live)
     zero_rows = tuple(np.flatnonzero(constraints.zero_rows()).tolist())
@@ -683,13 +785,13 @@ def _rate(game: NormalFormGame, config: SolverConfig, live: np.ndarray | None = 
         model.freeze(active, gains[list(active)])
         record(stage, active, objective)
 
-    scaled = np.array([model.frozen[i] for i in range(num_rows)]) * factor
+    scaled = np.array([model.frozen[i] for i in range(num_rows)])[constraints.row_of] * factor
     scaled.setflags(write=False)
     return RatingResult(
         players=game.players,
         strategies=game.strategies,
         ratings=tuple(np.split(scaled, np.cumsum(game.shape)[:-1])),
-        equilibrium=JointDistribution(sigma),
+        equilibrium=JointDistribution(constraints.split_orbits(sigma)),
         freeze_log=tuple(log),
         stage_count=stage,
     )
@@ -705,15 +807,22 @@ def rate_reduced(game: NormalFormGame, config: SolverConfig = SolverConfig(), sy
     """Deviation ratings computed with duplicate joint columns merged.
 
     ``symmetrize`` lists player pairs to symmetrize first (a no-op when
-    the game is already symmetric in those pairs).  The returned
-    equilibrium spreads each group's mass evenly over its joints.
+    the game is already symmetric in those pairs).  When a swap of two
+    players maps the game to itself, each group is joined with its
+    swapped group, whose columns are the group's with those players' rows
+    exchanged, so the two share an orbit column.  The returned
+    equilibrium spreads each class's mass evenly over its joints.
     """
     for p, q in symmetrize:
         game = symmetrize_payoffs(game, p, q)
     labels = joint_groups(game)
+    pair = _player_swap(game)
+    if pair is not None:
+        swap = np.arange(game.num_joints).reshape(game.shape).swapaxes(*pair).ravel()
+        labels = np.unique(np.minimum(labels, labels[swap]), return_inverse=True)[1].reshape(-1)
     first = np.unique(labels, return_index=True)[1]
     result = _rate(game, config, first)
-    probs = spread_over_groups(result.equilibrium.probs[first], labels)
+    probs = spread_over_groups(np.bincount(labels, weights=result.equilibrium.probs), labels)
     return replace(result, equilibrium=JointDistribution(probs))
 
 

@@ -252,6 +252,17 @@ def test_check_fixed_input_game(shapley_json):
                  "--method", "deviation", "--trials", "2", "--seed", "1"]) == 0
 
 
+def test_generator_specs_reject_gamify_and_format(capsys):
+    # check reads --gamify and --format on generator specs as rate does
+    for flags, message in ((["--gamify", "3p"], "--gamify applies to score tables"),
+                           (["--gamify", "2pzs"], "--gamify applies to score tables"),
+                           (["--format", "game-json"], "--format applies to input files")):
+        for spec in ("random:2x2", "random", "shapley"):
+            for command in (["rate"], ["check", "--property", "clone", "--trials", "1"]):
+                assert main([*command, "--input", spec, *flags]) == 2
+                assert message in capsys.readouterr().err
+
+
 def test_check_rejects_bad_tol_and_trials(tmp_path, capsys):
     for tol in ("nan", "-1"):
         assert main(["check", "--input", "shapley", "--property", "clone",

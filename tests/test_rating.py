@@ -393,8 +393,10 @@ def test_column_generation_matches_exact_lp(monkeypatch):
     ]
     columns = _counting_solves(monkeypatch)
     working_set = [deviation_rating(games[0])]
-    # the first run is over one basis' worth of joints, and t
-    assert columns[0] == sum(games[0].shape) + 1
+    # the first run is over one basis' worth of joints, and t; the table is
+    # symmetric in its model players, so its LP has one row per strategy
+    # of model_a and of the task player
+    assert columns[0] == devrating.rating._Constraints(games[0]).num_rows + 1 == 12 + 4 + 1
     assert max(columns) < games[0].num_joints + 1
     working_set += [deviation_rating(g) for g in games[1:]]
     monkeypatch.undo()
@@ -431,20 +433,26 @@ def test_initial_working_set_is_a_lexsort_prefix_covering_every_strategy():
     ]
     for game in games:
         constraints = devrating.rating._Constraints(game)
-        live = np.arange(game.num_joints)
+        # the tables are symmetric in their model players: the LP is over
+        # the orbit representatives, keyed by orbit
+        live = constraints.representatives(np.arange(game.num_joints))
         joints = constraints.initial_joints(live)
-        order = np.lexsort((live, constraints.tie_key(live), constraints.joint_max()))
-        assert np.array_equal(joints, np.sort(order[: constraints.num_rows]))
-    # every joint ties: the set covers every strategy of every player
+        order = np.lexsort((live, constraints.tie_key(live), constraints.joint_max()[live]))
+        assert np.array_equal(joints, np.sort(live[order[: constraints.num_rows]]))
+    # every joint ties: the orbits of the set cover every strategy of every
+    # player, and a swap of two players with as many strategies exists
     for shape in ((100, 100), (24, 24, 8), (66, 18), (2, 4, 10), (3, 11, 5)):
         game = build_game(
             [f"p{i}" for i in range(len(shape))],
             [[f"s{j}" for j in range(n)] for n in shape],
             [np.zeros(shape)] * len(shape),
         )
-        joints = devrating.rating._Constraints(game).initial_joints(np.arange(game.num_joints))
-        assert joints.size == sum(shape)
-        for p, a_p in enumerate(np.unravel_index(joints, shape)):
+        constraints = devrating.rating._Constraints(game)
+        assert (constraints.swap is not None) == (shape[0] == shape[1])
+        joints = constraints.initial_joints(constraints.representatives(np.arange(game.num_joints)))
+        assert joints.size == constraints.num_rows == sum(shape) - (shape[1] if shape[0] == shape[1] else 0)
+        orbits = joints if constraints.swap is None else np.union1d(joints, constraints.swap[joints])
+        for p, a_p in enumerate(np.unravel_index(orbits, shape)):
             assert np.array_equal(np.unique(a_p), np.arange(shape[p]))
 
 
@@ -507,6 +515,114 @@ def test_rate_reduced_matches_direct_on_working_set_path():
             reduced = rate_reduced(game, symmetrize=symmetrize)
             for p in range(3):
                 assert np.max(np.abs(direct.ratings[p] - reduced.ratings[p])) <= 1e-9
+
+
+# with this seed, _planted_table((BENCHMARK_TABLE_SEED, k), 24, 8, copies=3)
+# has the scores of table k of the benchmark's ``leaderboard`` set
+BENCHMARK_TABLE_SEED = 20250213
+
+
+def _symmetric_tied_game(rng, n: int):
+    """A two-player game (G, G transposed) with payoffs in -2..2."""
+    payoff = rng.integers(-2, 3, size=(n, n)).astype(float)
+    names = [f"s{i}" for i in range(n)]
+    return build_game(["p1", "p2"], [names, names], [payoff, payoff.T])
+
+
+def _criterion_8_game(trial: int):
+    """Criterion 8's symmetric game with one strategy cloned for both
+    players, symmetrized as ``rate_reduced`` symmetrizes it."""
+    rng = np.random.default_rng(40_000 + trial)
+    size = int(rng.integers(3, 5))
+    payoff = rng.uniform(-1.0, 1.0, size=(size, size))
+    labels = [f"s{i}" for i in range(size)]
+    game = build_game(["p1", "p2"], [labels, labels], [payoff, payoff.T])
+    target = f"s{int(rng.integers(0, size))}"
+    return symmetrize_payoffs(clone_strategy(clone_strategy(game, "p1", target), "p2", target), 0, 1)
+
+
+def test_player_swap_detection():
+    swap = devrating.rating._player_swap
+    table = game_from_table_3p(_planted_table(31, 12, 4))
+    assert swap(table) == (0, 1)
+    assert swap(_symmetric_tied_game(np.random.default_rng(61), 4)) == (0, 1)
+
+    def zeros(*shape):
+        return build_game(
+            [f"p{i}" for i in range(len(shape))], [[f"s{j}" for j in range(n)] for n in shape], [np.zeros(shape)] * len(shape)
+        )
+
+    # the first pair of players with as many strategies, and none without
+    assert (swap(zeros(3, 3)), swap(zeros(3, 2, 3)), swap(zeros(3, 4)), swap(zeros(2, 3, 4))) == ((0, 1), (0, 2), None, None)
+    # G_q is not G_p with its axes swapped
+    payoff = np.random.default_rng(62).normal(size=(3, 3))
+    names = ["a", "b", "c"]
+    assert swap(build_game(["p1", "p2"], [names, names], [payoff, payoff])) is None
+    # the task player's tensor changes under the swap: paid the signed margin
+    margin = table.payoffs[0]
+    assert swap(build_game(table.players, table.strategies, (margin, -margin, margin))) is None
+    # one payoff off by 1e-12 survives quantization and breaks the swap;
+    # the full LP's ratings stay next to the quotient's
+    payoffs = [g.copy() for g in table.payoffs]
+    payoffs[0][3, 0, 2] += 1e-12
+    perturbed = build_game(table.players, table.strategies, payoffs)
+    assert perturbed.payoffs[0][3, 0, 2] != table.payoffs[0][3, 0, 2]
+    assert swap(perturbed) is None
+    for a, b in zip(deviation_rating(perturbed).ratings, deviation_rating(table).ratings):
+        assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def test_orbit_quotient_matches_full_lp(monkeypatch):
+    games = [
+        *(game_from_table_3p(_planted_table(seed, 12, 4)) for seed in (31, 32)),
+        game_from_table_3p(_planted_table(31, 12, 4, copies=3)),
+        *(game_from_table_3p(_planted_table((BENCHMARK_TABLE_SEED, k), 24, 8, copies=3)) for k in range(3)),
+        *(_symmetric_tied_game(np.random.default_rng((6161, k)), 2 + k % 3) for k in range(40)),
+    ]
+    assert all(devrating.rating._player_swap(g) == (0, 1) for g in games)
+    quotient = [deviation_rating(g) for g in games]
+    # the full LP: no swap found
+    monkeypatch.setattr(devrating.rating, "_player_swap", lambda game: None)
+    for g, q in zip(games, quotient):
+        full = deviation_rating(g)
+        assert [(rec.stage, rec.rows) for rec in q.freeze_log] == [(rec.stage, rec.rows) for rec in full.freeze_log]
+        assert q.stage_count == full.stage_count
+        tol = devrating.rating.FIXED_GAIN_TOL * SolverConfig().active_tol * g.payoff_spread()
+        for p in range(g.num_players):
+            assert np.max(np.abs(q.ratings[p] - full.ratings[p])) <= tol
+        assert rating_certificate(g, q).ok()
+        # the swapped players' ratings are copies, the equilibrium symmetric
+        assert np.array_equal(q.ratings[0], q.ratings[1])
+        tensor = q.equilibrium.as_tensor(g.shape)
+        assert np.array_equal(tensor, np.swapaxes(tensor, 0, 1))
+
+
+def test_symmetric_tied_games_match_oracle():
+    for k in range(30):
+        game = _symmetric_tied_game(np.random.default_rng((6262, k)), 3 if k % 3 == 0 else 2)
+        expected, _ = oracle_rating(game)
+        assert np.max(np.abs(np.concatenate(deviation_rating(game).ratings) - expected)) <= 1e-8, k
+
+
+def test_rate_reduced_rates_swap_classes_in_one_engine_run(monkeypatch):
+    rate = devrating.rating._rate
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rate(*args)
+
+    monkeypatch.setattr(devrating.rating, "_rate", counting)
+    # criterion 8's games and criterion 10's table
+    for game in [*(_criterion_8_game(trial) for trial in range(25)), game_from_table_3p(_planted_table(2024, 66, 18, copies=4))]:
+        calls.clear()
+        result = rate_reduced(game)
+        assert len(calls) == 1
+        assert rating_certificate(game, result).ok()
+        # each class, duplicate groups joined with their swaps, is rated
+        # by its first joint and gets its mass spread evenly
+        tensor = result.equilibrium.as_tensor(game.shape)
+        assert np.array_equal(tensor, np.swapaxes(tensor, 0, 1))
 
 
 def _tied_game(rng, shape):
@@ -707,7 +823,8 @@ def test_live_joints_stay_sorted_and_hold_the_working_set(monkeypatch):
 
     checked("retire")
     checked("_add")
-    table = game_from_table_3p(_planted_table(31, 12, 4))
+    # over orbits, the two-copy 12x12x4 tables need no pricing round
+    table = game_from_table_3p(_planted_table(31, 12, 4, copies=3))
     deviation_rating(table)
     # column generation: pricing adds joints after the initial working set
     assert calls["_add"] > 1 and calls["retired"] > 0
@@ -891,6 +1008,40 @@ def test_constraint_operator_matches_dense_matrix():
     assert all(zero)
 
 
+def test_orbit_operator_matches_dense_quotient():
+    rng = np.random.default_rng(58)
+    # symmetric in players 0 and 2, with player 1 between them
+    r0, r1 = rng.normal(size=(3, 2, 3)), rng.normal(size=(3, 2, 3))
+    between = build_game(["p0", "p1", "p2"], [["a", "b", "c"], ["x", "y"], ["a", "b", "c"]], [r0, r1 + np.swapaxes(r1, 0, 2), np.swapaxes(r0, 0, 2)])
+    games = [game_from_table_3p(_planted_table(31, 12, 4)), _symmetric_tied_game(rng, 3), between]
+    for game, pair in zip(games, [(0, 1), (0, 1), (0, 2)]):
+        assert devrating.rating._player_swap(game) == pair
+        values = cce_constraint_matrix(game).values / game.payoff_spread()
+        constraints = devrating.rating._Constraints(game)
+        swap = np.arange(game.num_joints).reshape(game.shape).swapaxes(*pair).ravel()
+        assert np.array_equal(constraints.swap, swap)
+        # the rows of every player but q, each column the mean of its orbit's
+        p, q = pair
+        start = np.cumsum((0,) + game.shape)
+        kept = np.r_[0 : start[q], start[q + 1] : start[-1]]
+        quotient = ((values + values[:, swap]) / 2)[kept]
+        joints = np.arange(game.num_joints)
+        assert constraints.num_rows == kept.size
+        assert np.max(np.abs(constraints.columns(joints) - quotient)) <= 1e-15
+        assert np.array_equal(constraints.zero_rows(), ~quotient.any(axis=1))
+        assert np.max(np.abs(constraints.joint_max() - (values.max(axis=0) + values.max(axis=0)[swap]) / 2)) <= 1e-15
+        for y in (rng.normal(size=kept.size), rng.uniform(size=kept.size)):
+            assert np.max(np.abs(constraints.price(y) - y @ quotient)) <= 1e-12
+        # the equilibrium and ratings of a rating, orbit by orbit
+        assert np.array_equal(constraints.representatives(joints), joints[joints <= swap])
+        sigma = np.zeros(game.num_joints)
+        sigma[joints <= swap] = rng.uniform(size=np.count_nonzero(joints <= swap))
+        spread = constraints.split_orbits(sigma)
+        assert np.array_equal(spread, spread[swap]) and spread.sum() == pytest.approx(sigma.sum())
+        assert np.array_equal(constraints.row_of[kept], np.arange(kept.size))
+        assert np.array_equal(constraints.row_of[start[q] : start[q + 1]], constraints.row_of[start[p] : start[p + 1]])
+
+
 def _traced(call):
     """``call()`` and the peak of the memory it allocated, by tracemalloc."""
     tracemalloc.start()
@@ -954,15 +1105,7 @@ def _bytewise_labels(game) -> np.ndarray:
 def test_joint_groups_equal_dense_dedup_groups():
     games = [game_from_table_3p(_planted_table(31, 12, 4)), game_from_table_3p(_planted_table(32, 12, 4, copies=3))]
     games += [_tied_game(np.random.default_rng((4444, k)), (4, 4, 4)) for k in range(20)]
-    for trial in range(25):
-        # criterion 8's cloned symmetric games, symmetrized as rate_reduced does
-        rng = np.random.default_rng(40_000 + trial)
-        size = int(rng.integers(3, 5))
-        payoff = rng.uniform(-1.0, 1.0, size=(size, size))
-        labels = [f"s{i}" for i in range(size)]
-        game = build_game(["p1", "p2"], [labels, labels], [payoff, payoff.T])
-        target = f"s{int(rng.integers(0, size))}"
-        games.append(symmetrize_payoffs(clone_strategy(clone_strategy(game, "p1", target), "p2", target), 0, 1))
+    games += [_criterion_8_game(trial) for trial in range(25)]
     for game in games:
         labels = joint_groups(game)
         assert np.array_equal(labels, dedup_joints(cce_constraint_matrix(game)).labels)
