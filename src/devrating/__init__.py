@@ -68,7 +68,6 @@ from .gamify import (
     game_from_table_2pzs,
     game_from_table_3p,
     load_score_table,
-    normalize_per_task,
     pairwise_margins,
     save_score_table,
 )

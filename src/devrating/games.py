@@ -55,7 +55,10 @@ class UnknownLabelError(GameError):
 
 def label_index(labels: tuple[str, ...], key, what: str) -> int:
     """Resolve ``key``, an index or a label, to its position in ``labels``;
-    ``what`` names the labels in the error."""
+    ``what`` names the labels in the error.  A boolean is neither, though
+    Python counts ``True`` as the index 1."""
+    if isinstance(key, (bool, np.bool_)):
+        raise UnknownLabelError(f"{what} {key!r} is a boolean, not an index or a label")
     if isinstance(key, (int, np.integer)):
         if not 0 <= key < len(labels):
             raise UnknownLabelError(f"{what} index {key} out of range")

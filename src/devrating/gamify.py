@@ -4,14 +4,13 @@ A score table holds per-model, per-task scores.  Two constructions are
 provided: a three-player game (two symmetric model pickers plus a task
 picker who is paid the absolute score margin, i.e. rewarded for
 discriminating between the models) and a two-player zero-sum game (model
-picker vs. task picker, optionally on per-task min-max normalized
-scores).  Games induced by populations of mixed strategies are built in
+picker vs. task picker).  Games induced by populations of mixed strategies are built in
 ``devrating.improve``.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "ScoreTable",
     "load_score_table",
     "save_score_table",
-    "normalize_per_task",
     "game_from_table_3p",
     "game_from_table_2pzs",
     "pairwise_margins",
@@ -35,7 +33,6 @@ class ScoreTable:
     models: tuple[str, ...]
     tasks: tuple[str, ...]
     scores: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         models = tuple(str(m) for m in self.models)
@@ -89,24 +86,6 @@ def save_score_table(table: ScoreTable, path) -> None:
             writer.writerow([model, *[repr(float(x)) for x in row]])
 
 
-def normalize_per_task(table: ScoreTable) -> ScoreTable:
-    """Min-max normalize each task column to [0, 1]; constant columns map
-    to 0.5 and are listed in ``meta["constant_tasks"]``."""
-    scores = table.scores.copy()
-    constant = []
-    for t in range(scores.shape[1]):
-        col = scores[:, t]
-        lo, hi = float(col.min()), float(col.max())
-        if hi == lo:
-            scores[:, t] = 0.5
-            constant.append(table.tasks[t])
-        else:
-            scores[:, t] = (col - lo) / (hi - lo)
-    meta = dict(table.meta)
-    meta["constant_tasks"] = tuple(constant)
-    return ScoreTable(table.models, table.tasks, scores, meta)
-
-
 def game_from_table_3p(table: ScoreTable, players: tuple[str, str, str] = ("model_a", "model_b", "task")) -> NormalFormGame:
     """Three-player game from a score table.
 
@@ -122,11 +101,9 @@ def game_from_table_3p(table: ScoreTable, players: tuple[str, str, str] = ("mode
     return build_game(players, strategies, (margin, -margin, np.abs(margin)))
 
 
-def game_from_table_2pzs(table: ScoreTable, normalize: bool = False, players: tuple[str, str] = ("model", "task")) -> NormalFormGame:
-    """Two-player zero-sum game: the model player receives the (optionally
-    per-task normalized) score, the task player its negation."""
-    if normalize:
-        table = normalize_per_task(table)
+def game_from_table_2pzs(table: ScoreTable, players: tuple[str, str] = ("model", "task")) -> NormalFormGame:
+    """Two-player zero-sum game: the model player receives the score, the
+    task player its negation."""
     s = table.scores
     return build_game(players, (table.models, table.tasks), (s, -s))
 

@@ -96,30 +96,29 @@ p's rows at a.  A block of columns is gathered from the tensors, pricing
 all joints takes one contraction of e_p per player, and the live joints'
 columns form one dense block once a joint retires or a span test runs.
 
-A swap of players p and q maps a game to itself when they have as many
-strategies, G_q is G_p with axes p and q swapped, and every other
-player's tensor is unchanged by the swap (``_player_swap``, which
-compares the quantized tensors exactly); ``gamify.game_from_table_3p``
-games have such a swap of their two model players.  Every stage LP, and
-so its optimal face, is then unchanged by the swap: twin rows (p, s) and
-(q, s) freeze together at equal bounds.  The mean of an optimum and its
-swap is an optimum, and a row slack at some optimum is slack there too.
-So each stage's objective and the rows tight at every optimum are those
-of the LP over distributions that the swap leaves unchanged, its orbit
-quotient (LP symmetry reduction; Bödi, Herr and Joswig, Math.
-Programming 2013), applied at every stage.  That LP has one column per
-orbit {a, swap(a)}, the mean of the orbit's columns, standing at the
-orbit's smaller joint, and no rows for q, whose gains equal p's there.
-``_Constraints`` is this quotient whenever a swap exists, so the loop
-above runs on it unchanged, over half the columns and without q's rows.
-Each freeze record lists q's rows beside p's, q's ratings are copies of
-p's, and the equilibrium splits each orbit's mass evenly over its
-joints.  A game with no swap takes exactly the path above.
-
-``rate_reduced`` runs the same loop on the first joint of each group of
-duplicate joints (``cce.joint_groups``, also read from the payoff
-tensors), each group joined with its swapped group when a swap exists,
-and spreads the equilibrium evenly over each.
+Joints that no stage LP tells apart share one column.  A swap of
+players p and q maps a game to itself when they have as many strategies,
+G_q is G_p with axes p and q swapped, and every other player's tensor is
+unchanged by the swap (``_player_swap``, which compares the quantized
+tensors exactly); ``gamify.game_from_table_3p`` games have such a swap
+of their two model players.  Every stage LP, and so its optimal face, is
+then unchanged by the swap: twin rows (p, s) and (q, s) freeze together
+at equal bounds.  The mean of an optimum and its swap is an optimum, and
+a row slack at some optimum is slack there too.  So each stage's
+objective and the rows tight at every optimum are those of the LP over
+distributions that the swap leaves unchanged, its orbit quotient (LP
+symmetry reduction; Bödi, Herr and Joswig, Math. Programming 2013),
+applied at every stage.  Joints with equal columns, the duplicate groups
+of ``cce.joint_groups``, are exchangeable in the same way.  A joint's
+class is its orbit {a, swap(a)}, or in ``rate_reduced`` its duplicate
+group joined with its swapped group; a game with no swap has the
+identity for swap, so each of its classes in ``deviation_rating`` is one
+joint.  ``_Constraints`` is the quotient by these classes: one column
+per class, the mean of its columns, standing at its first joint, and no
+rows for q, whose gains equal p's there.  The loop above runs on it
+unchanged.  Each freeze record lists q's rows beside p's, q's ratings
+are copies of p's, and the equilibrium splits each class's mass evenly
+over its joints.
 
 Ratings are invariant to cloning, payoff offsets, and strategy
 relabeling, and never exceed 0.  They are invariant to mixing on generic
@@ -129,7 +128,7 @@ tight at every optimum, and so the ratings.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -144,7 +143,7 @@ except ImportError as exc:
         "provides the HiGHS solver object the stage LPs are passed to"
     ) from exc
 
-from .cce import JointDistribution, deviation_gains, joint_groups, spread_over_groups
+from .cce import JointDistribution, deviation_gains, joint_groups
 from .games import NormalFormGame, label_index, symmetrize_payoffs
 
 __all__ = [
@@ -293,13 +292,19 @@ class _Constraints:
     max_b G_p(b, a_-p) - G_p(a), the largest of player p's rows at a,
     divided by the spread.
 
-    When a swap of players p and q maps the game to itself
-    (``_player_swap``), the matrix is that of its orbit quotient: the LP
-    rows are the constraint rows without q's, and a joint's column is the
-    mean of its orbit's columns, so the LP is over distributions that the
-    swap leaves unchanged."""
+    The LP has one column per joint class.  A joint's class is its orbit
+    under the swap of players p and q that maps the game to itself
+    (``_player_swap``), joined with the duplicate groups of its joints
+    when ``groups`` labels them (``cce.joint_groups``); with no swap,
+    ``swap`` is the identity.  ``class_of`` names each joint's class by
+    its first joint, where the class's column stands: the mean of the
+    columns of that joint and its swapped joint, which is the mean over
+    the class, since each of its joints shares a column with one of the
+    two.  With a swap, the LP rows are the constraint rows without q's,
+    whose gains equal p's on distributions that the swap leaves
+    unchanged."""
 
-    def __init__(self, game: NormalFormGame):
+    def __init__(self, game: NormalFormGame, groups: np.ndarray | None = None):
         self.spread = game.payoff_spread() or 1.0
         self._shape = shape = game.shape
         self._payoffs = game.payoffs
@@ -307,52 +312,46 @@ class _Constraints:
         # each player's e_p with its own axis first, built on first use:
         # a rating whose working set holds every joint never prices here
         self._views = None
-        # row_of[i] is the LP row of constraint row i; with a swap of
-        # players p and q, q's rows share p's LP rows, ``swap`` maps each
+        # row_of[i] is the LP row of constraint row i, ``swap`` maps each
         # joint to the swapped one, and ``_share`` is the part of an LP
-        # row's dual that each of its constraint rows gets in ``price``
+        # row's dual that each of its constraint rows gets in ``price``;
+        # with a swap of players p and q, q's rows share p's LP rows
         self._pair = _player_swap(game)
         self.row_of = np.arange(sum(shape))
-        self.swap = None
+        self.swap = joints = np.arange(game.num_joints)
         if self._pair is not None:
             p, q = self._pair
             start = np.cumsum((0,) + shape)
             self.row_of[start[q] :] -= shape[q]
             self.row_of[start[q] : start[q + 1]] = self.row_of[start[p] : start[p + 1]]
-            self.swap = np.arange(game.num_joints).reshape(shape).swapaxes(p, q).ravel()
-            self._share = 1.0 / np.bincount(self.row_of)[self.row_of]
+            self.swap = joints.reshape(shape).swapaxes(p, q).ravel()
+        self._share = 1.0 / np.bincount(self.row_of)[self.row_of]
         self.num_rows = int(self.row_of.max()) + 1
-
-    def representatives(self, joints: np.ndarray) -> np.ndarray:
-        """The joints of ``joints`` that stand for their orbit: all of
-        them, or with a swap, those no larger than their swapped joint."""
-        return joints if self.swap is None else joints[joints <= self.swap[joints]]
-
-    def split_orbits(self, sigma: np.ndarray) -> np.ndarray:
-        """The distribution over every joint that ``sigma``, over orbit
-        representatives, stands for: each orbit's mass split evenly."""
-        return sigma if self.swap is None else (sigma + sigma[self.swap]) / 2
+        # the first joint of a joint's group, then of the group joined
+        # with its swapped group, written over ``first``: with no swap,
+        # ``joints`` is ``swap`` and keeps its values
+        first = joints if groups is None else np.unique(groups, return_index=True)[1][groups]
+        self.class_of = np.minimum(first, first[self.swap], out=first)
 
     def joint_max(self) -> np.ndarray:
-        """The largest constraint value at each joint.  With a swap, its
-        mean over the joint's orbit: a start key read from the tensors, as
-        the largest value of an orbit's column would need every column."""
+        """The mean over each joint's orbit of the largest constraint value
+        at its joints: a start key read from the tensors, as the largest
+        value of an orbit's column would need every column."""
         top = np.maximum.reduce([e.ravel() for e in self._excess])
-        return top if self.swap is None else (top + top[self.swap]) / 2
+        return (top + top[self.swap]) / 2
 
     def tie_key(self, joints: np.ndarray) -> np.ndarray:
-        """The diagonal of the strategy grid that each of ``joints`` lies
-        on.  With m the first player with the most strategies, N of them,
-        joint a lies on the diagonal whose shift for each other player p
-        is (a_p + floor(a_m n_p / N)) mod n_p; the key reads these shifts
+        """The diagonal of the strategy grid that each orbit of ``joints``
+        lies on.  With m the first player with the most strategies, N of
+        them, joint a lies on the diagonal whose shift for each other player
+        p is (a_p + floor(a_m n_p / N)) mod n_p; the key reads these shifts
         as one mixed-radix number.  A diagonal holds one joint per strategy
         of m, and as a_m runs over them, floor(a_m n_p / N) runs over every
         strategy of p, so each diagonal holds every strategy of every
-        player.  With a swap, an orbit's key is the smaller of its joints'
-        keys: a diagonal's joints then lie in at most N orbits, which share
-        its key and hold every strategy of every player."""
-        key = self._diagonal(joints)
-        return key if self.swap is None else np.minimum(key, self._diagonal(self.swap[joints]))
+        player.  An orbit's key is the smaller of its joints' keys: a
+        diagonal's joints then lie in at most N orbits, which share its key
+        and hold every strategy of every player."""
+        return np.minimum(self._diagonal(joints), self._diagonal(self.swap[joints]))
 
     def _diagonal(self, joints: np.ndarray) -> np.ndarray:
         m = int(np.argmax(self._shape))
@@ -382,10 +381,9 @@ class _Constraints:
     def zero_rows(self) -> np.ndarray:
         """The LP rows that are zero at every joint: all of a player's rows
         are, exactly when its payoffs do not depend on its own strategy."""
-        zero = [np.full(n, not e.any()) for e, n in zip(self._excess, self._shape)]
-        if self._pair is not None:
-            zero.pop(self._pair[1])
-        return np.concatenate(zero)
+        zero = np.empty(self.num_rows, dtype=bool)
+        zero[self.row_of] = np.concatenate([np.full(n, not e.any()) for e, n in zip(self._excess, self._shape)])
+        return zero
 
     def columns(self, joints: np.ndarray) -> np.ndarray:
         """The columns of ``joints``, as ``cce_constraint_matrix`` computes
@@ -413,8 +411,7 @@ class _Constraints:
         on p's rows and zeros on q's; by the same symmetry as in
         ``columns``, it equals the price with half of p's duals on each of
         p's and q's rows, the same at a joint and its swapped joint."""
-        if self._pair is not None:
-            y = y[self.row_of] * self._share
+        y = y[self.row_of] * self._share
         if self._views is None:
             self._views = [np.moveaxis(e, p, 0).reshape(e.shape[p], -1) for p, e in enumerate(self._excess)]
         total = np.zeros(self._shape)
@@ -724,16 +721,18 @@ def _fixed(values: np.ndarray, pins: Sequence[int], rows: Sequence[int], tol: fl
     return r.max(axis=1) - r.min(axis=1) <= tol
 
 
-def _rate(game: NormalFormGame, config: SolverConfig, live: np.ndarray | None = None) -> RatingResult:
-    """Run the freezing loop on the constraints of ``game``, over every
-    joint or over the sorted joints ``live``, or with a swap, over the
-    orbit representatives among them; the equilibrium is 0 off the orbits
-    of ``live``."""
-    constraints = _Constraints(game)
+def _rate(game: NormalFormGame, config: SolverConfig, groups: np.ndarray | None = None) -> RatingResult:
+    """Run the freezing loop on the constraints of ``game`` over the first
+    joint of each joint class (``_Constraints``), with ``groups`` labelling
+    duplicate joints; the equilibrium splits each class's mass evenly
+    over its joints."""
+    constraints = _Constraints(game, groups)
     factor = constraints.spread
     num_rows, num_joints = constraints.num_rows, game.num_joints
     labels = [(game.players[p], s) for p, names in enumerate(game.strategies) for s in names]
-    live = constraints.representatives(np.arange(num_joints) if live is None else live)
+    # a class is named by its first joint, the one joint of it in the LP
+    class_of = constraints.class_of
+    live = np.flatnonzero(np.bincount(class_of))
     log: list[FreezeRecord] = []
     members: list[list[int]] = [[] for _ in range(num_rows)]
     for r, i in enumerate(constraints.row_of.tolist()):
@@ -750,8 +749,8 @@ def _rate(game: NormalFormGame, config: SolverConfig, live: np.ndarray | None = 
         model.freeze(zero_rows, np.zeros(len(zero_rows)))
         record(0, zero_rows, 0.0)
 
-    sigma = np.zeros(num_joints)
-    sigma[live] = 1.0 / live.size
+    # the joints of the last solution and their masses
+    support, mass = live, np.full(live.size, 1.0 / live.size)
     stage = 0
     while len(model.frozen) < num_rows:
         frozen = frozenset(model.frozen)
@@ -773,10 +772,8 @@ def _rate(game: NormalFormGame, config: SolverConfig, live: np.ndarray | None = 
                 f"exceeded stage budget {num_rows} with {num_rows - len(model.frozen)} rows left"
             )
         sigma_raw, objective, row_dual, reduced_costs = model.solve()
-        sigma_working = _sanitize(sigma_raw)
-        gains = model.working_values @ sigma_working
-        sigma = np.zeros(num_joints)
-        sigma[model.working] = sigma_working
+        support, mass = model.working, _sanitize(sigma_raw)
+        gains = model.working_values @ mass
         # every later stage's optima lie on this stage's optimal face
         model.retire(reduced_costs)
         dual_rows = np.array(unfrozen)[np.abs(row_dual[unfrozen]) > PRICING_TOL]
@@ -785,13 +782,16 @@ def _rate(game: NormalFormGame, config: SolverConfig, live: np.ndarray | None = 
         model.freeze(active, gains[list(active)])
         record(stage, active, objective)
 
+    # each class's mass, at its first joint, split evenly over its joints
+    sigma = np.zeros(num_joints)
+    sigma[support] = mass / np.bincount(class_of)[support]
     scaled = np.array([model.frozen[i] for i in range(num_rows)])[constraints.row_of] * factor
     scaled.setflags(write=False)
     return RatingResult(
         players=game.players,
         strategies=game.strategies,
         ratings=tuple(np.split(scaled, np.cumsum(game.shape)[:-1])),
-        equilibrium=JointDistribution(constraints.split_orbits(sigma)),
+        equilibrium=JointDistribution(sigma[class_of]),
         freeze_log=tuple(log),
         stage_count=stage,
     )
@@ -807,23 +807,15 @@ def rate_reduced(game: NormalFormGame, config: SolverConfig = SolverConfig(), sy
     """Deviation ratings computed with duplicate joint columns merged.
 
     ``symmetrize`` lists player pairs to symmetrize first (a no-op when
-    the game is already symmetric in those pairs).  When a swap of two
-    players maps the game to itself, each group is joined with its
-    swapped group, whose columns are the group's with those players' rows
-    exchanged, so the two share an orbit column.  The returned
-    equilibrium spreads each class's mass evenly over its joints.
+    the game is already symmetric in those pairs).  Each joint class of
+    the LP is a group of duplicate joints (``cce.joint_groups``), joined
+    with its swapped group when a swap of two players maps the game to
+    itself.  The returned equilibrium spreads each class's mass evenly
+    over its joints.
     """
     for p, q in symmetrize:
         game = symmetrize_payoffs(game, p, q)
-    labels = joint_groups(game)
-    pair = _player_swap(game)
-    if pair is not None:
-        swap = np.arange(game.num_joints).reshape(game.shape).swapaxes(*pair).ravel()
-        labels = np.unique(np.minimum(labels, labels[swap]), return_inverse=True)[1].reshape(-1)
-    first = np.unique(labels, return_index=True)[1]
-    result = _rate(game, config, first)
-    probs = spread_over_groups(np.bincount(labels, weights=result.equilibrium.probs), labels)
-    return replace(result, equilibrium=JointDistribution(probs))
+    return _rate(game, config, joint_groups(game))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ def rated_table():
         ("m1", "m2", "m3"),
         ("t1", "t2"),
         np.round(rng.uniform(0, 1, (3, 2)), 3),
-        {},
     )
     game = game_from_table_3p(table)
     return game, deviation_rating(game)
@@ -57,7 +56,7 @@ def test_contributions_match_triple_sum(rated_table):
 
 
 def test_single_task_contribution_equals_rating():
-    table = ScoreTable(("m1", "m2"), ("only",), np.array([[0.9], [0.2]]), {})
+    table = ScoreTable(("m1", "m2"), ("only",), np.array([[0.9], [0.2]]))
     game = game_from_table_3p(table)
     result = deviation_rating(game)
     cm = task_contributions(game, result, "model_a")
@@ -164,7 +163,7 @@ def test_bounds_row_minima_equal_dense_row_minima():
     rng = np.random.default_rng(11)
     games = [random_game(rng, shape) for shape in ((2, 3), (3, 1, 4), (2, 2, 3, 2))]
     games.append(build_game(["p1", "p2"], [["a", "b"], ["c", "d", "e"]], [rng.integers(-2, 3, (2, 3)).astype(float) for _ in range(2)]))
-    games.append(game_from_table_3p(ScoreTable(("m1", "m2", "m3"), ("t1", "t2"), rng.uniform(0, 1, (3, 2)) * 1e3, {})))
+    games.append(game_from_table_3p(ScoreTable(("m1", "m2", "m3"), ("t1", "t2"), rng.uniform(0, 1, (3, 2)) * 1e3)))
     games.append(biased_shapley())
     for g in games:
         assert np.array_equal(np.concatenate(devrating.analysis._row_minima(g)), cce_constraint_matrix(g).values.min(axis=1))

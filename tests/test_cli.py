@@ -31,7 +31,6 @@ def table_csv(tmp_path):
         ("m1", "m2", "m3", "m4"),
         ("t1", "t2", "t3"),
         np.round(rng.uniform(0, 1, (4, 3)), 3),
-        {},
     )
     path = tmp_path / "table.csv"
     save_score_table(table, path)

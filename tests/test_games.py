@@ -22,6 +22,7 @@ from devrating.games import (
     save_game,
 )
 from devrating.examples import matching_pennies, prisoners_dilemma
+from devrating.rating import deviation_rating
 
 
 def test_build_game_basic():
@@ -72,6 +73,22 @@ def test_unknown_labels_raise():
         g.player_index("nobody")
     with pytest.raises(UnknownLabelError):
         g.strategy_index(0, "nope")
+
+
+def test_boolean_keys_are_not_indices():
+    g = matching_pennies()
+    result = deviation_rating(g)
+    for key in (True, False, np.True_, np.False_):
+        with pytest.raises(UnknownLabelError):
+            g.player_index(key)
+        with pytest.raises(UnknownLabelError):
+            g.strategy_index(0, key)
+        with pytest.raises(UnknownLabelError):
+            result.rating(key, 0)
+        with pytest.raises(UnknownLabelError):
+            result.rating(0, key)
+    # integers of either kind still index
+    assert g.player_index(np.int64(1)) == 1 and result.rating(1, 0) == result.ratings[1][0]
 
 
 def test_payoff_spread():

@@ -7,7 +7,6 @@ from devrating.gamify import (
     game_from_table_2pzs,
     game_from_table_3p,
     load_score_table,
-    normalize_per_task,
     pairwise_margins,
     save_score_table,
 )
@@ -27,17 +26,16 @@ def table():
         ("m1", "m2", "m3"),
         ("t1", "t2"),
         np.round(rng.uniform(0, 1, (3, 2)), 3),
-        {},
     )
 
 
 def test_score_table_validation():
     with pytest.raises(GameValidationError):
-        ScoreTable(("a", "a"), ("t",), np.zeros((2, 1)), {})
+        ScoreTable(("a", "a"), ("t",), np.zeros((2, 1)))
     with pytest.raises(GameValidationError):
-        ScoreTable(("a", "b"), ("t",), np.zeros((2, 2)), {})
+        ScoreTable(("a", "b"), ("t",), np.zeros((2, 2)))
     with pytest.raises(GameValidationError):
-        ScoreTable(("a",), ("t",), np.array([[np.inf]]), {})
+        ScoreTable(("a",), ("t",), np.array([[np.inf]]))
 
 
 def test_csv_roundtrip(tmp_path, table):
@@ -47,15 +45,6 @@ def test_csv_roundtrip(tmp_path, table):
     assert back.models == table.models
     assert back.tasks == table.tasks
     assert np.array_equal(back.scores, table.scores)
-
-
-def test_normalize_per_task_minmax():
-    t = ScoreTable(("a", "b", "c"), ("t1", "t2"),
-                   np.array([[0.2, 5.0], [0.6, 5.0], [1.0, 5.0]]), {})
-    n = normalize_per_task(t)
-    assert np.allclose(n.scores[:, 0], [0.0, 0.5, 1.0])
-    assert np.allclose(n.scores[:, 1], 0.5)
-    assert n.meta["constant_tasks"] == ("t2",)
 
 
 def test_game_from_table_3p_payoff_structure(table):
@@ -82,8 +71,6 @@ def test_game_from_table_2pzs(table):
     assert g.shape == (3, 2)
     assert np.allclose(g.payoffs[0], table.scores)
     assert np.allclose(g.payoffs[0] + g.payoffs[1], 0.0)
-    n = game_from_table_2pzs(table, normalize=True)
-    assert n.payoffs[0].min() == 0.0 and n.payoffs[0].max() == 1.0
 
 
 def test_pairwise_margins_skew_symmetric(table):

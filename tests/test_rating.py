@@ -424,6 +424,11 @@ def _all_tied_pennies(n: int):
     return build_game(("p1", "p2"), [[f"s{i}" for i in range(n)]] * 2, [payoff, -payoff])
 
 
+def _first_joints(constraints) -> np.ndarray:
+    """The joints at which the LP's columns stand: the first of each class."""
+    return np.flatnonzero(constraints.class_of == np.arange(constraints.class_of.size))
+
+
 def test_initial_working_set_is_a_lexsort_prefix_covering_every_strategy():
     games = [
         *(_tied_game(np.random.default_rng((4444, k)), (4, 4, 4)) for k in range(20)),
@@ -434,8 +439,8 @@ def test_initial_working_set_is_a_lexsort_prefix_covering_every_strategy():
     for game in games:
         constraints = devrating.rating._Constraints(game)
         # the tables are symmetric in their model players: the LP is over
-        # the orbit representatives, keyed by orbit
-        live = constraints.representatives(np.arange(game.num_joints))
+        # the first joint of each orbit, keyed by orbit
+        live = _first_joints(constraints)
         joints = constraints.initial_joints(live)
         order = np.lexsort((live, constraints.tie_key(live), constraints.joint_max()[live]))
         assert np.array_equal(joints, np.sort(live[order[: constraints.num_rows]]))
@@ -448,10 +453,10 @@ def test_initial_working_set_is_a_lexsort_prefix_covering_every_strategy():
             [np.zeros(shape)] * len(shape),
         )
         constraints = devrating.rating._Constraints(game)
-        assert (constraints.swap is not None) == (shape[0] == shape[1])
-        joints = constraints.initial_joints(constraints.representatives(np.arange(game.num_joints)))
+        assert np.array_equal(constraints.swap, np.arange(game.num_joints)) == (shape[0] != shape[1])
+        joints = constraints.initial_joints(_first_joints(constraints))
         assert joints.size == constraints.num_rows == sum(shape) - (shape[1] if shape[0] == shape[1] else 0)
-        orbits = joints if constraints.swap is None else np.union1d(joints, constraints.swap[joints])
+        orbits = np.union1d(joints, constraints.swap[joints])
         for p, a_p in enumerate(np.unravel_index(orbits, shape)):
             assert np.array_equal(np.unique(a_p), np.arange(shape[p]))
 
@@ -597,6 +602,37 @@ def test_orbit_quotient_matches_full_lp(monkeypatch):
         assert np.array_equal(tensor, np.swapaxes(tensor, 0, 1))
 
 
+def test_player_swap_runs_once_per_rating(monkeypatch):
+    calls = []
+    original = devrating.rating._player_swap
+    monkeypatch.setattr(devrating.rating, "_player_swap", lambda game: calls.append(game) or original(game))
+    symmetrized = functools.partial(rate_reduced, symmetrize=[(0, 1)])
+    for game, rates in (
+        (game_from_table_3p(_planted_table(31, 12, 4)), (deviation_rating, rate_reduced, symmetrized)),
+        (_criterion_8_game(0), (deviation_rating, rate_reduced, symmetrized)),
+        (random_game(np.random.default_rng(9), (3, 4, 2)), (deviation_rating, rate_reduced)),
+    ):
+        for rate in rates:
+            calls.clear()
+            rate(game)
+            assert len(calls) == 1
+
+
+def test_rate_reduced_merges_duplicates_without_a_swap():
+    game = random_game(np.random.default_rng(9), (3, 4, 2))
+    game = clone_strategy(clone_strategy(game, "p1", game.strategies[0][1]), "p3", game.strategies[2][0])
+    labels = joint_groups(game)
+    assert devrating.rating._player_swap(game) is None
+    assert game.num_joints - (labels.max() + 1) == 24
+    reduced, full = rate_reduced(game), deviation_rating(game)
+    for a, b in zip(reduced.ratings, full.ratings):
+        assert np.max(np.abs(a - b)) <= 1e-9 * game.payoff_spread()
+    # the equilibrium is constant on each group of duplicate joints
+    probs = reduced.equilibrium.probs
+    assert np.array_equal(probs, probs[np.unique(labels, return_index=True)[1]][labels])
+    assert rating_certificate(game, reduced).ok()
+
+
 def test_symmetric_tied_games_match_oracle():
     for k in range(30):
         game = _symmetric_tied_game(np.random.default_rng((6262, k)), 3 if k % 3 == 0 else 2)
@@ -623,6 +659,13 @@ def test_rate_reduced_rates_swap_classes_in_one_engine_run(monkeypatch):
         # by its first joint and gets its mass spread evenly
         tensor = result.equilibrium.as_tensor(game.shape)
         assert np.array_equal(tensor, np.swapaxes(tensor, 0, 1))
+        # the classes: groups with the smaller label of a group and its
+        # swapped group share a class, named by its first joint
+        labels = joint_groups(game)
+        swap = np.arange(game.num_joints).reshape(game.shape).swapaxes(0, 1).ravel()
+        joined = np.unique(np.minimum(labels, labels[swap]), return_inverse=True)[1].reshape(-1)
+        first = np.unique(joined, return_index=True)[1]
+        assert np.array_equal(devrating.rating._Constraints(game, labels).class_of, first[joined])
 
 
 def _tied_game(rng, shape):
@@ -997,6 +1040,10 @@ def test_constraint_operator_matches_dense_matrix():
     for game in _operator_games():
         values = cce_constraint_matrix(game).values / game.payoff_spread()
         constraints = devrating.rating._Constraints(game)
+        # no swap: every joint is its own class, every row its own LP row
+        joints = np.arange(game.num_joints)
+        assert np.array_equal(constraints.swap, joints) and np.array_equal(constraints.class_of, joints)
+        assert np.array_equal(constraints.row_of, np.arange(values.shape[0]))
         subset = rng.permutation(game.num_joints)[: max(1, game.num_joints // 2)]
         assert np.array_equal(constraints.columns(np.arange(game.num_joints)), values)
         assert np.array_equal(constraints.columns(subset), values[:, subset])
@@ -1032,12 +1079,12 @@ def test_orbit_operator_matches_dense_quotient():
         assert np.max(np.abs(constraints.joint_max() - (values.max(axis=0) + values.max(axis=0)[swap]) / 2)) <= 1e-15
         for y in (rng.normal(size=kept.size), rng.uniform(size=kept.size)):
             assert np.max(np.abs(constraints.price(y) - y @ quotient)) <= 1e-12
-        # the equilibrium and ratings of a rating, orbit by orbit
-        assert np.array_equal(constraints.representatives(joints), joints[joints <= swap])
-        sigma = np.zeros(game.num_joints)
-        sigma[joints <= swap] = rng.uniform(size=np.count_nonzero(joints <= swap))
-        spread = constraints.split_orbits(sigma)
-        assert np.array_equal(spread, spread[swap]) and spread.sum() == pytest.approx(sigma.sum())
+        # the equilibrium and ratings of a rating, orbit by orbit: the
+        # classes are the orbits, each at its smaller joint, and a rating
+        # splits each orbit's mass evenly
+        assert np.array_equal(constraints.class_of, np.minimum(joints, swap))
+        probs = deviation_rating(game).equilibrium.probs
+        assert np.array_equal(probs, probs[swap]) and probs.sum() == pytest.approx(1.0)
         assert np.array_equal(constraints.row_of[kept], np.arange(kept.size))
         assert np.array_equal(constraints.row_of[start[q] : start[q + 1]], constraints.row_of[start[p] : start[p + 1]])
 
