@@ -54,7 +54,6 @@ from .rating import (
     result_to_dict,
 )
 from .baselines import (
-    EloConfig,
     EloResult,
     NashAveragingResult,
     WinProbMatrix,

@@ -3,9 +3,7 @@
 Task contributions decompose a model's rating into per-task terms at the
 reported equilibrium.  The property-check harness verifies rating
 invariances (clone, mixture, offset, permutation, dominance, bounds) on
-concrete games and reports witnesses on failure.  The reductions
-(``symmetrize_payoffs``, ``dedup_joints``, ``rate_reduced``) live with
-the game, constraint and rating code and are re-exported here.
+concrete games and reports witnesses on failure.
 """
 from __future__ import annotations
 
@@ -15,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .cce import ReducedConstraintSystem, dedup_joints
 from .games import (
     GameValidationError,
     NormalFormGame,
@@ -25,20 +22,13 @@ from .games import (
     game_to_dict,
     mix_strategy,
     permute_strategies,
-    quantize,
-    symmetrize_payoffs,
 )
-from .rating import RatingResult, rate_reduced
+from .rating import RatingResult
 
 __all__ = [
     "ContributionMatrix",
     "task_contributions",
     "save_contributions",
-    "symmetrize_payoffs",
-    "ReducedConstraintSystem",
-    "dedup_joints",
-    "rate_reduced",
-    "quantize",
     "PropertyReport",
     "PROPERTY_NAMES",
     "check_property",
@@ -60,27 +50,26 @@ class ContributionMatrix:
     ratings: np.ndarray
 
 
-def task_contributions(game: NormalFormGame, result: RatingResult, model_player, task_player=None) -> ContributionMatrix:
+def task_contributions(game: NormalFormGame, result: RatingResult, model_player) -> ContributionMatrix:
     """Split each model's rating into per-task terms at ``result``'s
     equilibrium: the expected gain from switching to the model, restricted
-    to profiles where each task was recommended."""
+    to profiles where each task was recommended.  The task player is the
+    third player, as in ``gamify.game_from_table_3p``."""
     if game.num_players != 3:
         raise GameValidationError("task contributions require a three-player game")
     p = game.player_index(model_player)
-    t_axis = game.player_index(task_player) if task_player is not None else 2
-    if p == t_axis:
-        raise GameValidationError("model player and task player must differ")
+    if p == 2:
+        raise GameValidationError("the model player must not be the task player, player 3")
     sigma = result.equilibrium.as_tensor(game.shape)
     g = game.payoffs[p]
-    sum_axes = tuple(q for q in range(3) if q != t_axis)
-    values = np.empty((game.shape[p], game.shape[t_axis]))
+    values = np.empty((game.shape[p], game.shape[2]))
     for i in range(game.shape[p]):
         dev = np.expand_dims(np.take(g, i, axis=p), axis=p)
-        values[i] = (sigma * (np.broadcast_to(dev, game.shape) - g)).sum(axis=sum_axes)
+        values[i] = (sigma * (np.broadcast_to(dev, game.shape) - g)).sum(axis=(0, 1))
     return ContributionMatrix(
         model_player=game.players[p],
         models=game.strategies[p],
-        tasks=game.strategies[t_axis],
+        tasks=game.strategies[2],
         values=values,
         ratings=np.asarray(result.ratings[p], dtype=np.float64),
     )

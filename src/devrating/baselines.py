@@ -19,7 +19,6 @@ __all__ = [
     "uniform_rating",
     "WinProbMatrix",
     "payoff_to_winprob",
-    "EloConfig",
     "EloResult",
     "elo_fit",
     "NashAveragingResult",
@@ -75,43 +74,26 @@ def payoff_to_winprob(labels, payoffs, margin: float) -> WinProbMatrix:
     """Map a skew-symmetric payoff matrix (player-1 perspective) to win
     probabilities via ``(payoff / margin + 1) / 2``."""
     arr = np.asarray(payoffs, dtype=np.float64)
-    if margin <= 0.0:
-        raise GameValidationError(f"margin must be positive, got {margin}")
+    if not (np.isfinite(margin) and margin > 0.0):
+        raise GameValidationError(f"margin must be finite and > 0, got {margin!r}")
     if np.max(np.abs(arr)) > margin * (1 + 1e-12):
         raise GameValidationError("payoff magnitudes exceed the margin bound")
     return WinProbMatrix(tuple(labels), (arr / margin + 1.0) / 2.0)
 
 
-@dataclass(frozen=True)
-class EloConfig:
-    """Logistic model p(i beats j) = 1 / (1 + base^((r_j - r_i) / scale)).
+#: Logistic model p(i beats j) = 1 / (1 + ELO_BASE^((r_j - r_i) / ELO_SCALE)).
+ELO_BASE = 10.0
+ELO_SCALE = 400.0
+# the initial gradient-descent step (backtracking shrinks it per
+# iteration as needed) and the iteration budget
+_ELO_STEP = 1e5
+_ELO_MAX_ITERS = 20000
+_GRAD_TOL = 1e-9
 
-    ``learning_rate`` is the initial gradient-descent step (backtracking
-    shrinks it per iteration as needed); ``anchor`` fixes the gauge of
-    the fitted ratings ("mean-zero" or "first-zero").
-    """
 
-    scale: float = 400.0
-    base: float = 10.0
-    learning_rate: float = 1e5
-    max_iters: int = 20000
-    anchor: str = "mean-zero"
-
-    def __post_init__(self):
-        for name in ("scale", "learning_rate"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise GameValidationError(f"{name} must be finite and > 0, got {value!r}")
-        if not (np.isfinite(self.base) and self.base > 1):
-            raise GameValidationError(f"base must be finite and > 1, got {self.base!r}")
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
-            raise GameValidationError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if self.anchor not in ("mean-zero", "first-zero"):
-            raise GameValidationError(f"unknown anchor {self.anchor!r}")
-
-    def winprob(self, ratings: np.ndarray) -> np.ndarray:
-        z = np.log(self.base) * (ratings[:, None] - ratings[None, :]) / self.scale
-        return 1.0 / (1.0 + np.exp(-z))
+def _elo_winprob(ratings: np.ndarray) -> np.ndarray:
+    z = np.log(ELO_BASE) * (ratings[:, None] - ratings[None, :]) / ELO_SCALE
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 @dataclass(frozen=True)
@@ -127,45 +109,42 @@ class EloResult:
         return {s: float(r) for s, r in zip(self.labels, self.ratings)}
 
 
-_GRAD_TOL = 1e-9
+def elo_fit(matrix: WinProbMatrix) -> EloResult:
+    """Fit Elo ratings, with mean zero, to a win-probability matrix by
+    full-batch gradient descent on the cross-entropy loss (log base 10).
 
-
-def elo_fit(matrix: WinProbMatrix, config: EloConfig = EloConfig()) -> EloResult:
-    """Fit Elo ratings to a win-probability matrix by full-batch gradient
-    descent on the cross-entropy loss (log base 10).
-
-    The loss is convex; non-convergence within ``max_iters`` (possible
+    The loss is convex; non-convergence within the iteration budget (possible
     when observed probabilities sit at 0 or 1, pushing ratings apart
     without bound) is reported via ``converged`` and ``grad_norm``.
     """
     p_obs = matrix.probs
     n = p_obs.shape[0]
     off_diag = ~np.eye(n, dtype=bool)
-    coef = np.log(config.base) / (config.scale * np.log(10.0))
+    coef = np.log(ELO_BASE) / (ELO_SCALE * np.log(10.0))
 
     def loss_of(r: np.ndarray) -> float:
-        p_hat = config.winprob(r)
+        p_hat = _elo_winprob(r)
         terms = -(p_obs * np.log10(p_hat) + (1.0 - p_obs) * np.log10(1.0 - p_hat))
         return float(terms[off_diag].sum())
 
     def grad_of(r: np.ndarray) -> np.ndarray:
-        diff = config.winprob(r) - p_obs
+        diff = _elo_winprob(r) - p_obs
         np.fill_diagonal(diff, 0.0)
         return coef * (diff.sum(axis=1) - diff.sum(axis=0))
 
     ratings = np.zeros(n)
     loss = loss_of(ratings)
-    step = config.learning_rate
+    step = _ELO_STEP
     grad = grad_of(ratings)
     iterations = 0
     converged = False
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, _ELO_MAX_ITERS + 1):
         gnorm = float(np.max(np.abs(grad)))
         if gnorm < _GRAD_TOL:
             converged = True
             break
         g2 = float(grad @ grad)
-        step = min(step * 2.0, config.learning_rate)
+        step = min(step * 2.0, _ELO_STEP)
         while step > 1e-300:
             candidate = ratings - step * grad
             cand_loss = loss_of(candidate)
@@ -177,7 +156,7 @@ def elo_fit(matrix: WinProbMatrix, config: EloConfig = EloConfig()) -> EloResult
     gnorm = float(np.max(np.abs(grad)))
     converged = converged or gnorm < _GRAD_TOL
 
-    ratings = ratings - (ratings.mean() if config.anchor == "mean-zero" else ratings[0])
+    ratings = ratings - ratings.mean()
     ratings.setflags(write=False)
     return EloResult(
         labels=matrix.labels,
@@ -199,7 +178,7 @@ class NashAveragingResult:
     unique: bool
 
 
-def _maximin_lp(payoff: np.ndarray, feas_tol: float = 1e-9):
+def _maximin_lp(payoff: np.ndarray):
     """Row player's maximin strategy for payoff matrix ``payoff``:
     maximize v s.t. x^T payoff >= v per column, x in the simplex."""
     n_rows, n_cols = payoff.shape
@@ -218,8 +197,8 @@ def _maximin_lp(payoff: np.ndarray, feas_tol: float = 1e-9):
         bounds=bounds,
         method="highs",
         options={
-            "primal_feasibility_tolerance": feas_tol,
-            "dual_feasibility_tolerance": feas_tol,
+            "primal_feasibility_tolerance": 1e-9,
+            "dual_feasibility_tolerance": 1e-9,
         },
     )
     if res.status != 0:
@@ -228,14 +207,14 @@ def _maximin_lp(payoff: np.ndarray, feas_tol: float = 1e-9):
     return x / x.sum(), float(-res.fun)
 
 
-def _face_extent(payoff: np.ndarray, value: float, direction: np.ndarray, sense: float, slack: float = 1e-8):
+def _face_extent(payoff: np.ndarray, value: float, direction: np.ndarray, sense: float):
     """Optimize ``sense * direction @ x`` over the optimal-face polytope
-    {x in simplex : x^T payoff >= value - slack}."""
+    {x in simplex : x^T payoff >= value - 1e-8}."""
     n_rows, n_cols = payoff.shape
     res = linprog(
         -sense * direction,
         A_ub=-payoff.T,
-        b_ub=np.full(n_cols, -(value - slack)),
+        b_ub=np.full(n_cols, -(value - 1e-8)),
         A_eq=np.ones((1, n_rows)),
         b_eq=[1.0],
         bounds=[(0.0, None)] * n_rows,

@@ -13,7 +13,7 @@ joint profiles gives the deviation constraint matrix A, so the epsilon-CCE
 condition is ``A @ sigma <= epsilon`` entrywise.  The engine reads A from
 the payoff tensors, and ``cce_constraint_matrix`` forms it for tests and
 analysis.  Joints with equal columns of A (e.g. clones) share a group
-label, and ``spread_over_groups`` spreads a group's mass over its joints.
+label.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ __all__ = [
     "ReducedConstraintSystem",
     "dedup_joints",
     "joint_groups",
-    "spread_over_groups",
 ]
 
 
@@ -188,21 +187,12 @@ def cce_constraint_matrix(game: NormalFormGame) -> CCEConstraintMatrix:
     return CCEConstraintMatrix(rows)
 
 
-def spread_over_groups(reduced_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Spread each group's mass evenly over its joints; ``labels[j]`` is joint j's group."""
-    sizes = np.bincount(labels)
-    if np.shape(reduced_probs) != sizes.shape:
-        raise ValueError(f"{np.size(reduced_probs)} reduced probabilities for {sizes.size} groups")
-    return (reduced_probs / sizes)[labels]
-
-
 @dataclass(frozen=True)
 class ReducedConstraintSystem:
     """A constraint matrix with duplicate joint columns merged.
 
     ``labels[j]`` is the reduced column that joint j's column collapsed
-    into, numbered in order of first occurrence; ``spread_over_groups``
-    spreads the mass of each reduced column evenly over its joints.
+    into, numbered in order of first occurrence.
     """
 
     matrix: CCEConstraintMatrix

@@ -21,13 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import PROPERTY_NAMES, check_property, task_contributions, save_contributions
-from .baselines import (
-    EloConfig,
-    elo_fit,
-    nash_averaging_2pzs,
-    payoff_to_winprob,
-    uniform_rating,
-)
+from .baselines import elo_fit, nash_averaging_2pzs, payoff_to_winprob, uniform_rating
 from .cce import DistributionError
 from .examples import biased_shapley
 from .games import GameError, NormalFormGame, load_game, random_game
@@ -182,7 +176,7 @@ def _rate_payload(args, kind, obj) -> dict:
         labels, margins = pairwise_margins(obj)
         bound = float(np.max(np.abs(margins)))
         matrix = payoff_to_winprob(labels, margins, margin=bound if bound > 0 else 1.0)
-        fit = elo_fit(matrix, EloConfig())
+        fit = elo_fit(matrix)
         return {
             "method": "elo",
             "labels": list(fit.labels),

@@ -20,9 +20,10 @@ def matching_pennies() -> NormalFormGame:
     return build_game(("p1", "p2"), (("H", "T"), ("H", "T")), (g1, -g1))
 
 
-def prisoners_dilemma(temptation: float = 5.0, reward: float = 3.0, punishment: float = 1.0, sucker: float = 0.0) -> NormalFormGame:
-    """Symmetric 2x2 with strategies (C, D); defection dominates."""
-    g1 = np.array([[reward, sucker], [temptation, punishment]])
+def prisoners_dilemma() -> NormalFormGame:
+    """Symmetric 2x2 with strategies (C, D) and payoffs reward 3, sucker 0,
+    temptation 5, punishment 1; defection dominates."""
+    g1 = np.array([[3.0, 0.0], [5.0, 1.0]])
     return build_game(("p1", "p2"), (("C", "D"), ("C", "D")), (g1, g1.T))
 
 

@@ -69,20 +69,18 @@ def label_index(labels: tuple[str, ...], key, what: str) -> int:
         raise UnknownLabelError(f"unknown {what} {key!r}") from None
 
 
-def quantize(values, decimals: int = QUANT_DECIMALS) -> np.ndarray:
-    """Round values half-to-even at ``decimals`` decimal places.
+def quantize(values) -> np.ndarray:
+    """Round values half-to-even at ``QUANT_DECIMALS`` decimal places.
 
     ``np.round`` scales, rounds and scales back, so the result is within
-    ``0.5 * 10**-decimals + 2 * np.spacing(abs(x))`` of each value x, not
-    within the half unit alone: the scaling costs up to about one more ulp
-    of x.
+    ``0.5 * 10**-QUANT_DECIMALS + 2 * np.spacing(abs(x))`` of each value x,
+    not within the half unit alone: the scaling costs up to about one more
+    ulp of x.
 
     Applied to payoffs at game build time and to constraint columns before
     deduplication, so that duplicate detection is a bitwise comparison.
     """
-    if not 1 <= int(decimals) <= 15:
-        raise ValueError(f"decimals must be in [1, 15], got {decimals}")
-    return np.round(np.asarray(values, dtype=np.float64), int(decimals))
+    return np.round(np.asarray(values, dtype=np.float64), QUANT_DECIMALS)
 
 
 @dataclass(frozen=True)
@@ -125,6 +123,8 @@ class NormalFormGame:
 
 
 def _validate_labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
+    if isinstance(labels, str):
+        raise GameValidationError(f"{what} must be a sequence of labels, not the string {labels!r}")
     labels = tuple(str(x) for x in labels)
     if not labels:
         raise GameValidationError(f"{what} must be non-empty")
@@ -215,7 +215,7 @@ def append_strategy(game: NormalFormGame, player, label: str, slices) -> NormalF
     return build_game(game.players, strategies, tensors)
 
 
-def clone_strategy(game: NormalFormGame, player, strategy, label: str | None = None) -> NormalFormGame:
+def clone_strategy(game: NormalFormGame, player, strategy) -> NormalFormGame:
     """Append an exact copy of a strategy (label ``"<base>#clone-k"``).
 
     Every player's payoffs for the clone equal their payoffs for the
@@ -224,13 +224,11 @@ def clone_strategy(game: NormalFormGame, player, strategy, label: str | None = N
     p = game.player_index(player)
     i = game.strategy_index(p, strategy)
     base = game.strategies[p][i]
-    if label is None:
-        k = 1
-        while f"{base}#clone-{k}" in game.strategies[p]:
-            k += 1
-        label = f"{base}#clone-{k}"
+    k = 1
+    while f"{base}#clone-{k}" in game.strategies[p]:
+        k += 1
     slices = [np.take(g, i, axis=p) for g in game.payoffs]
-    return append_strategy(game, p, label, slices)
+    return append_strategy(game, p, f"{base}#clone-{k}", slices)
 
 
 def mix_strategy(game: NormalFormGame, player, weights, label: str | None = None) -> NormalFormGame:
@@ -311,12 +309,12 @@ def symmetrize_payoffs(game: NormalFormGame, p, q) -> NormalFormGame:
     return build_game(game.players, game.strategies, tensors)
 
 
-def random_game(rng: np.random.Generator, sizes: Sequence[int], low: float = -1.0, high: float = 1.0) -> NormalFormGame:
-    """A game with i.i.d. uniform payoffs on [low, high]."""
+def random_game(rng: np.random.Generator, sizes: Sequence[int]) -> NormalFormGame:
+    """A game with i.i.d. uniform payoffs on [-1, 1]."""
     sizes = tuple(int(n) for n in sizes)
     players = tuple(f"p{k + 1}" for k in range(len(sizes)))
     strategies = tuple(tuple(f"s{i + 1}" for i in range(n)) for n in sizes)
-    payoffs = [rng.uniform(low, high, sizes) for _ in sizes]
+    payoffs = [rng.uniform(-1.0, 1.0, sizes) for _ in sizes]
     return build_game(players, strategies, payoffs)
 
 

@@ -35,6 +35,9 @@ class ScoreTable:
     scores: np.ndarray
 
     def __post_init__(self):
+        for labels, what in ((self.models, "model"), (self.tasks, "task")):
+            if isinstance(labels, str):
+                raise GameValidationError(f"{what} labels must be a sequence, not the string {labels!r}")
         models = tuple(str(m) for m in self.models)
         tasks = tuple(str(t) for t in self.tasks)
         for labels, what in ((models, "model"), (tasks, "task")):
@@ -86,7 +89,7 @@ def save_score_table(table: ScoreTable, path) -> None:
             writer.writerow([model, *[repr(float(x)) for x in row]])
 
 
-def game_from_table_3p(table: ScoreTable, players: tuple[str, str, str] = ("model_a", "model_b", "task")) -> NormalFormGame:
+def game_from_table_3p(table: ScoreTable) -> NormalFormGame:
     """Three-player game from a score table.
 
     Two players pick models, one picks the task; the first model player
@@ -98,14 +101,14 @@ def game_from_table_3p(table: ScoreTable, players: tuple[str, str, str] = ("mode
     s = table.scores
     margin = s[:, None, :] - s[None, :, :]
     strategies = (table.models, table.models, table.tasks)
-    return build_game(players, strategies, (margin, -margin, np.abs(margin)))
+    return build_game(("model_a", "model_b", "task"), strategies, (margin, -margin, np.abs(margin)))
 
 
-def game_from_table_2pzs(table: ScoreTable, players: tuple[str, str] = ("model", "task")) -> NormalFormGame:
+def game_from_table_2pzs(table: ScoreTable) -> NormalFormGame:
     """Two-player zero-sum game: the model player receives the score, the
     task player its negation."""
     s = table.scores
-    return build_game(players, (table.models, table.tasks), (s, -s))
+    return build_game(("model", "task"), (table.models, table.tasks), (s, -s))
 
 
 def pairwise_margins(table: ScoreTable) -> tuple[tuple[str, ...], np.ndarray]:

@@ -58,11 +58,11 @@ class Population:
     ``members[p]`` is a K x |A_p| row-stochastic matrix; every player
     has the same member count K.  ``ids`` are stable per-member tags
     (unique within a loop run) and ``born`` records the generation each
-    member was created in, which breaks rating ties during culling.
+    member was created in (0 unless given), which breaks rating ties
+    during culling.
     """
 
     members: tuple[np.ndarray, ...]
-    generation: int = 0
     ids: tuple[tuple[int, ...], ...] = ()
     born: tuple[tuple[int, ...], ...] = ()
 
@@ -81,7 +81,7 @@ class Population:
             if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-9:
                 raise GameValidationError(f"player {p} members do not sum to 1")
         ids = self.ids if self.ids else tuple(tuple(range(size)) for _ in members)
-        born = self.born if self.born else tuple((self.generation,) * size for _ in members)
+        born = self.born if self.born else tuple((0,) * size for _ in members)
         for label, per_player in (("ids", ids), ("born", born)):
             if len(per_player) != len(members) or any(len(t) != size for t in per_player):
                 raise GameValidationError(f"{label} must list one entry per member")
@@ -142,13 +142,13 @@ def meta_game(full: NormalFormGame, pop: Population) -> NormalFormGame:
     return build_game(full.players, (labels,) * full.num_players, tensors)
 
 
-def population_game(base: NormalFormGame, mixtures, labels=None) -> NormalFormGame:
+def population_game(base: NormalFormGame, mixtures) -> NormalFormGame:
     """Symmetric game induced by a population of mixed strategies.
 
     ``base`` must be a symmetric two-player game (G2 == G1 transposed
     within 1e-9); ``mixtures`` is a sequence of distributions over the
-    base strategies.  Entry (i, j) pays player 1 the expected base payoff
-    of mixture i against mixture j.
+    base strategies, labeled ``mix-00``, ``mix-01``, ....  Entry (i, j)
+    pays player 1 the expected base payoff of mixture i against mixture j.
     """
     if base.num_players != 2:
         raise GameValidationError("population game requires a two-player base")
@@ -163,10 +163,9 @@ def population_game(base: NormalFormGame, mixtures, labels=None) -> NormalFormGa
             f"mixtures must have length {g1.shape[0]} (one weight per base strategy)"
         )
     x = np.vstack(rows)
-    if labels is None:
-        labels = tuple(f"mix-{i:02d}" for i in range(len(rows)))
+    labels = tuple(f"mix-{i:02d}" for i in range(len(rows)))
     tensors = [_member_payoffs(g, (x, x)) for g in base.payoffs]
-    return build_game(base.players, (tuple(labels), tuple(labels)), tensors)
+    return build_game(base.players, (labels, labels), tensors)
 
 
 def dirichlet_mixtures(rng: np.random.Generator, count: int, alpha) -> list[np.ndarray]:
@@ -177,7 +176,7 @@ def dirichlet_mixtures(rng: np.random.Generator, count: int, alpha) -> list[np.n
     return list(rng.dirichlet(alpha, size=count))
 
 
-def lift_to_full(sigma_meta: JointDistribution, pop: Population, full: NormalFormGame | None = None) -> JointDistribution:
+def lift_to_full(sigma_meta: JointDistribution, pop: Population, full: NormalFormGame) -> JointDistribution:
     """Push a meta-level joint down to the full game's joint space:
     sigma(s) = sum over member tuples of sigma_meta(tuple) times the
     product of the selected members' probabilities at s."""
@@ -185,7 +184,7 @@ def lift_to_full(sigma_meta: JointDistribution, pop: Population, full: NormalFor
     t = sigma_meta.as_tensor(shape)
     for p in range(pop.num_players):
         t = np.tensordot(t, pop.members[p], axes=([0], [0]))
-    if full is not None and t.shape != full.shape:
+    if t.shape != full.shape:
         raise GameValidationError("population does not match the full game's shape")
     return JointDistribution(t.reshape(-1))
 
@@ -278,7 +277,7 @@ def run_improvement_loop(full: NormalFormGame, rater: str = "deviation", config:
 
         records.append(IterationRecord(k, gap, avg, tuple(culled)))
         members, ids, born = zip(*kept)
-        pop = Population(members=members, generation=k + 1, ids=ids, born=born)
+        pop = Population(members=members, ids=ids, born=born)
 
     meta_info = {
         "rater": rater,

@@ -144,7 +144,7 @@ except ImportError as exc:
     ) from exc
 
 from .cce import JointDistribution, deviation_gains, joint_groups
-from .games import NormalFormGame, label_index, symmetrize_payoffs
+from .games import NormalFormGame, label_index
 
 __all__ = [
     "RatingError",
@@ -803,18 +803,15 @@ def deviation_rating(game: NormalFormGame, config: SolverConfig = SolverConfig()
     return _rate(game, config)
 
 
-def rate_reduced(game: NormalFormGame, config: SolverConfig = SolverConfig(), symmetrize: Sequence[tuple] = ()) -> RatingResult:
+def rate_reduced(game: NormalFormGame, config: SolverConfig = SolverConfig()) -> RatingResult:
     """Deviation ratings computed with duplicate joint columns merged.
 
-    ``symmetrize`` lists player pairs to symmetrize first (a no-op when
-    the game is already symmetric in those pairs).  Each joint class of
-    the LP is a group of duplicate joints (``cce.joint_groups``), joined
-    with its swapped group when a swap of two players maps the game to
-    itself.  The returned equilibrium spreads each class's mass evenly
-    over its joints.
+    Each joint class of the LP is a group of duplicate joints
+    (``cce.joint_groups``), joined with its swapped group when a swap of
+    two players maps the game to itself; ``games.symmetrize_payoffs``
+    makes a game symmetric in two players first.  The returned
+    equilibrium spreads each class's mass evenly over its joints.
     """
-    for p, q in symmetrize:
-        game = symmetrize_payoffs(game, p, q)
     return _rate(game, config, joint_groups(game))
 
 

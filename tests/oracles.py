@@ -9,7 +9,9 @@ transparent; intended for small games only.
 The staged oracle freezes, at each stage, the rows that are tight at
 *every* optimal vertex (the selection-independent active set) at the
 stage's optimal objective, so it is insensitive to which optimizer a
-solver would have returned.
+solver would have returned.  ``spread_over_groups`` spreads one mass per
+duplicate-joint group evenly over the group's joints, as the engine's
+equilibrium should.
 """
 from __future__ import annotations
 
@@ -147,3 +149,11 @@ def oracle_rating(game):
             frozen[i] = t_star
             ratings[i] = t_star
     return ratings, objectives
+
+
+def spread_over_groups(reduced_probs, labels):
+    """Spread each group's mass evenly over its joints; ``labels[j]`` is joint j's group."""
+    sizes = np.bincount(labels)
+    if np.shape(reduced_probs) != sizes.shape:
+        raise ValueError(f"{np.size(reduced_probs)} reduced probabilities for {sizes.size} groups")
+    return (reduced_probs / sizes)[labels]

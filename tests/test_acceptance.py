@@ -18,13 +18,12 @@ import pytest
 from devrating.analysis import (
     PROPERTY_NAMES,
     check_property,
-    rate_reduced,
     task_contributions,
 )
 from devrating.baselines import nash_averaging_2pzs, uniform_rating
 from devrating.cce import verify_cce
 from devrating.examples import biased_shapley, biased_shapley_base
-from devrating.games import build_game, clone_strategy, random_game
+from devrating.games import build_game, clone_strategy, random_game, symmetrize_payoffs
 from devrating.gamify import ScoreTable, game_from_table_3p
 from devrating.improve import (
     LoopConfig,
@@ -33,7 +32,7 @@ from devrating.improve import (
     run_improvement_loop,
     save_trajectory,
 )
-from devrating.rating import deviation_rating, rating_certificate
+from devrating.rating import deviation_rating, rate_reduced, rating_certificate
 
 TABLE_RATING = -2720.0 / 964.0
 # Exact per-strategy payoff means of the reference table: each row of the
@@ -356,7 +355,7 @@ def test_criterion_08_reduction_equivalence():
         game = clone_strategy(game, "p1", target)
         game = clone_strategy(game, "p2", target)
         direct = deviation_rating(game)
-        reduced = rate_reduced(game, symmetrize=(("p1", "p2"),))
+        reduced = rate_reduced(symmetrize_payoffs(game, "p1", "p2"))
         for p in range(2):
             worst = max(worst, float(np.max(np.abs(direct.ratings[p] - reduced.ratings[p]))))
 

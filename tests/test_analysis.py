@@ -7,19 +7,17 @@ import devrating.analysis
 from devrating.analysis import (
     PROPERTY_NAMES,
     check_property,
-    dedup_joints,
-    quantize,
-    rate_reduced,
     save_contributions,
-    symmetrize_payoffs,
     task_contributions,
 )
 from devrating.baselines import uniform_rating
-from devrating.cce import cce_constraint_matrix, spread_over_groups
-from devrating.games import GameValidationError, build_game, clone_strategy, random_game
+from devrating.cce import cce_constraint_matrix, dedup_joints
+from devrating.games import GameValidationError, build_game, clone_strategy, quantize, random_game, symmetrize_payoffs
+from devrating.rating import rate_reduced
 from devrating.gamify import ScoreTable, game_from_table_3p
 from devrating.rating import deviation_rating
 from devrating.examples import biased_shapley
+from oracles import spread_over_groups
 
 
 @pytest.fixture
@@ -142,7 +140,7 @@ def test_rate_reduced_equals_direct_with_clones():
         )
         game = clone_strategy(clone_strategy(game, 0, "b"), 1, "b")
         direct = deviation_rating(game)
-        reduced = rate_reduced(game, symmetrize=(("p1", "p2"),))
+        reduced = rate_reduced(symmetrize_payoffs(game, "p1", "p2"))
         for p in range(2):
             assert np.max(np.abs(direct.ratings[p] - reduced.ratings[p])) < 1e-6
         # the expanded equilibrium is still a valid certificate

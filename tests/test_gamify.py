@@ -38,6 +38,14 @@ def test_score_table_validation():
         ScoreTable(("a",), ("t",), np.array([[np.inf]]))
 
 
+def test_score_table_rejects_a_string_for_labels():
+    # read as labels, "ab" is the models "a" and "b"
+    with pytest.raises(GameValidationError, match="not the string"):
+        ScoreTable(models="ab", tasks=("t",), scores=np.zeros((2, 1)))
+    with pytest.raises(GameValidationError, match="not the string"):
+        ScoreTable(models=("a", "b"), tasks="tu", scores=np.zeros((2, 2)))
+
+
 def test_csv_roundtrip(tmp_path, table):
     path = tmp_path / "scores.csv"
     save_score_table(table, path)
@@ -91,7 +99,7 @@ def test_population_game_identity_basis():
 def test_population_game_equalizer_member_matches_table():
     base = biased_shapley_base()
     mixtures = [np.eye(3)[i] for i in range(3)] + [np.array(BIASED_SHAPLEY_EQUALIZER)]
-    pg = population_game(base, mixtures, labels=("R", "P", "S", "N"))
+    pg = population_game(base, mixtures)
     full = biased_shapley()
     assert np.max(np.abs(pg.payoffs[0] - full.payoffs[0])) < 1e-9
     assert np.max(np.abs(pg.payoffs[1] - full.payoffs[1])) < 1e-9

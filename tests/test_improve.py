@@ -163,7 +163,7 @@ def test_loop_culls_lowest_rated_oldest_first(monkeypatch):
             members.append(m)
             ids.append(tuple(pid))
             born.append(tuple(pborn))
-        pop = Population(tuple(members), k + 1, tuple(ids), tuple(born))
+        pop = Population(tuple(members), tuple(ids), tuple(born))
 
 
 def test_loop_wraps_a_rating_failure_with_its_iteration(monkeypatch):

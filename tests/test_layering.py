@@ -1,5 +1,5 @@
-"""Modules of the package use each other only through public names and
-import nothing they do not use."""
+"""Modules of the package use each other only through public names,
+import nothing they do not use, and export only names they define."""
 import ast
 from pathlib import Path
 
@@ -59,3 +59,21 @@ def test_every_import_is_used_or_exported():
     assert not offenders, offenders
     # an exception that no longer applies is removed with the binding
     assert {(module, name) for module, name, _ in unused} == TRACER_BINDINGS
+
+
+def test_no_module_reexports_another_modules_names():
+    # each public name is exported by the module that defines it; only the
+    # package __init__ gathers them
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("devrating"))
+            for alias in node.names
+        }
+        offenders += [f"{path.name} exports {name}" for name in sorted(imported & _exported(tree))]
+    assert not offenders, offenders

@@ -16,7 +16,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 import devrating.cce
 import devrating.improve
 import devrating.rating
-from devrating.cce import cce_constraint_matrix, dedup_joints, joint_groups, spread_over_groups, verify_cce
+from devrating.cce import cce_constraint_matrix, dedup_joints, joint_groups, verify_cce
 from devrating.analysis import check_property
 from devrating.baselines import uniform_rating
 from devrating.games import UnknownLabelError, build_game, clone_strategy, mix_strategy, quantize, random_game, symmetrize_payoffs
@@ -40,7 +40,7 @@ from devrating.examples import (
     prisoners_dilemma,
 )
 
-from oracles import oracle_rating
+from oracles import oracle_rating, spread_over_groups
 
 TABLE_RATING = -2720.0 / 964.0
 
@@ -516,8 +516,7 @@ def test_rate_reduced_matches_direct_on_working_set_path():
     for seed in (21, 22):
         game = game_from_table_3p(_planted_table(seed, 12, 4))
         direct = deviation_rating(game)
-        for symmetrize in ((), (("model_a", "model_b"),)):
-            reduced = rate_reduced(game, symmetrize=symmetrize)
+        for reduced in (rate_reduced(game), rate_reduced(symmetrize_payoffs(game, "model_a", "model_b"))):
             for p in range(3):
                 assert np.max(np.abs(direct.ratings[p] - reduced.ratings[p])) <= 1e-9
 
@@ -603,10 +602,12 @@ def test_orbit_quotient_matches_full_lp(monkeypatch):
 
 
 def test_player_swap_runs_once_per_rating(monkeypatch):
+    def symmetrized(game):
+        return rate_reduced(symmetrize_payoffs(game, 0, 1))
+
     calls = []
     original = devrating.rating._player_swap
     monkeypatch.setattr(devrating.rating, "_player_swap", lambda game: calls.append(game) or original(game))
-    symmetrized = functools.partial(rate_reduced, symmetrize=[(0, 1)])
     for game, rates in (
         (game_from_table_3p(_planted_table(31, 12, 4)), (deviation_rating, rate_reduced, symmetrized)),
         (_criterion_8_game(0), (deviation_rating, rate_reduced, symmetrized)),
