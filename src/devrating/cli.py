@@ -174,7 +174,9 @@ def _rate_payload(args, kind, obj) -> dict:
         if args.gamify != "none":
             raise InputFormatError("elo fits the table directly; use --gamify none")
         labels, margins = pairwise_margins(obj)
-        bound = float(np.max(np.abs(margins)))
+        # twice the largest margin, so every win probability lies in
+        # [0.25, 0.75]: one of exactly 0 or 1 has no finite Elo fit
+        bound = 2.0 * float(np.max(np.abs(margins)))
         matrix = payoff_to_winprob(labels, margins, margin=bound if bound > 0 else 1.0)
         fit = elo_fit(matrix)
         return {

@@ -12,6 +12,7 @@ exact and survives serialization round trips.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,7 +73,7 @@ def label_index(labels: tuple[str, ...], key, what: str) -> int:
 def quantize(values) -> np.ndarray:
     """Round values half-to-even at ``QUANT_DECIMALS`` decimal places.
 
-    ``np.round`` scales, rounds and scales back, so the result is within
+    Rounding scales, rounds and scales back, so the result is within
     ``0.5 * 10**-QUANT_DECIMALS + 2 * np.spacing(abs(x))`` of each value x,
     not within the half unit alone: the scaling costs up to about one more
     ulp of x.
@@ -80,7 +81,7 @@ def quantize(values) -> np.ndarray:
     Applied to payoffs at game build time and to constraint columns before
     deduplication, so that duplicate detection is a bitwise comparison.
     """
-    return np.round(np.asarray(values, dtype=np.float64), QUANT_DECIMALS)
+    return np.asarray(values, dtype=np.float64).round(QUANT_DECIMALS)
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,11 @@ class NormalFormGame:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.strategies)
+        return tuple(map(len, self.strategies))
 
     @property
     def num_joints(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def player_index(self, player) -> int:
         """Resolve a player given as index or label."""
@@ -119,13 +120,13 @@ class NormalFormGame:
 
     def payoff_spread(self) -> float:
         """Largest per-player payoff range; the natural scale of the game."""
-        return max(float(np.ptp(g)) if g.size else 0.0 for g in self.payoffs)
+        return max(float(g.max() - g.min()) if g.size else 0.0 for g in self.payoffs)
 
 
 def _validate_labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
     if isinstance(labels, str):
         raise GameValidationError(f"{what} must be a sequence of labels, not the string {labels!r}")
-    labels = tuple(str(x) for x in labels)
+    labels = tuple(map(str, labels))
     if not labels:
         raise GameValidationError(f"{what} must be non-empty")
     if len(set(labels)) != len(labels):
@@ -163,7 +164,7 @@ def build_game(players, strategies, payoffs) -> NormalFormGame:
                 f"payoff tensor for player {players[p]!r} has shape "
                 f"{arr.shape}, expected {shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             bad = np.argwhere(~np.isfinite(arr))[0]
             raise GameValidationError(
                 f"non-finite payoff for player {players[p]!r} at joint "

@@ -76,9 +76,9 @@ class Population:
                 raise GameValidationError(f"player {p} members must be a 2-d array")
             if m.shape[0] != size:
                 raise GameValidationError("every player needs the same member count")
-            if not np.all(np.isfinite(m)) or np.any(m < 0):
+            if not np.isfinite(m).all() or (m < 0).any():
                 raise GameValidationError(f"player {p} members are not distributions")
-            if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-9:
+            if abs(m.sum(axis=1) - 1.0).max() > 1e-9:
                 raise GameValidationError(f"player {p} members do not sum to 1")
         ids = self.ids if self.ids else tuple(tuple(range(size)) for _ in members)
         born = self.born if self.born else tuple((0,) * size for _ in members)
@@ -113,13 +113,22 @@ def _member_labels(size: int) -> tuple[str, ...]:
     return tuple(f"m{i:0{width}d}" for i in range(size))
 
 
+def _contract(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``np.tensordot(t, m, axes=(0, 0))``: t's first axis summed against
+    m's rows, m's columns appended as the last axis.  It makes the same
+    transpose, reshape and ``np.dot`` call, so the result is bitwise the
+    same, without the axis handling that costs more than the product on
+    small tensors."""
+    return np.dot(t.transpose((*range(1, t.ndim), 0)).reshape(-1, t.shape[0]), m).reshape(t.shape[1:] + m.shape[1:])
+
+
 def _member_payoffs(g: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
     """Expected payoff ``g`` at every tuple of members (``members[q]`` is
     player q's K_q x |A_q| matrix); each contracted axis re-emerges, size
     K_q, at the back, so after N rounds the axes are in player order."""
     t = g
     for m in members:
-        t = np.tensordot(t, m, axes=([0], [1]))
+        t = _contract(t, m.T)
     return t
 
 
@@ -182,8 +191,8 @@ def lift_to_full(sigma_meta: JointDistribution, pop: Population, full: NormalFor
     product of the selected members' probabilities at s."""
     shape = (pop.size,) * pop.num_players
     t = sigma_meta.as_tensor(shape)
-    for p in range(pop.num_players):
-        t = np.tensordot(t, pop.members[p], axes=([0], [0]))
+    for m in pop.members:
+        t = _contract(t, m)
     if t.shape != full.shape:
         raise GameValidationError("population does not match the full game's shape")
     return JointDistribution(t.reshape(-1))
@@ -266,14 +275,17 @@ def run_improvement_loop(full: NormalFormGame, rater: str = "deviation", config:
 
         culled, kept = [], []
         for p in range(full.num_players):
-            # lowest rated first, oldest first on ties; reseeded in index order
-            out = np.sort(np.lexsort((pop.born[p], ratings[p]))[:n_cull])
-            members, ids, born = pop.members[p].copy(), np.array(pop.ids[p]), np.array(pop.born[p])
-            culled.append(tuple(ids[out].tolist()))
+            # lowest rated first, oldest first on ties, then by index as
+            # np.lexsort orders them; reseeded in index order
+            rated, ids, born = ratings[p].tolist(), list(pop.ids[p]), list(pop.born[p])
+            out = sorted(sorted(range(pop.size), key=lambda i: (rated[i], born[i]))[:n_cull])
+            culled.append(tuple(ids[i] for i in out))
+            members = pop.members[p].copy()
             members[out] = rng.dirichlet(np.ones(full.shape[p]), size=n_cull)
-            ids[out], born[out] = np.arange(next_id, next_id + n_cull), k + 1
-            next_id += n_cull
-            kept.append((members, tuple(ids.tolist()), tuple(born.tolist())))
+            for i in out:
+                ids[i], born[i] = next_id, k + 1
+                next_id += 1
+            kept.append((members, tuple(ids), tuple(born)))
 
         records.append(IterationRecord(k, gap, avg, tuple(culled)))
         members, ids, born = zip(*kept)

@@ -15,9 +15,12 @@ their gain at the solution found, so stage objectives never increase and
 the rating does not depend on which optimal vertex the solver returns.
 Since a frozen row is tight on the whole optimal face, ``<= r_f`` admits
 the same later optima as ``== r_f`` would, and unlike equations it keeps
-the previous solution's basis usable.  The candidates are the unfrozen
-rows whose gain is within ``active_tol`` of the optimum t* or whose row
-dual is nonzero.  A candidate with a nonzero row dual is tight at every
+the previous solution's basis usable.  The candidates (``_band``) are
+the unfrozen rows whose gain is within ``active_tol`` of the optimum t*,
+or the first row of largest gain if none is, and every unfrozen row whose
+dual is nonzero.  The tie rule, ``|gain - top| <= active_tol``, has one
+definition (``_in_band``), which ``detect_active`` applies to an array of
+gains and the engine to Python floats.  A candidate with a nonzero row dual is tight at every
 optimum by complementary slackness, whatever its gain.  The rest are
 tested on the optimal face (t fixed at t*) by minimizing the sum of their
 gains: each whose gain there is below t* - ``active_tol`` is released,
@@ -62,15 +65,18 @@ live joints that meets the pins.  How far its gain can move is bounded by
 the max minus min of its residual outside that span.  The span test
 (``_fixed``) builds an orthonormal basis of that span afresh on each
 call, from the simplex row and the pins that are independent on the
-joints live at the time, and projects all the rows it tests at once.
+joints live at the time, until it spans every live joint, and projects
+all the rows it tests at once.
 When the bound is at most ``FIXED_GAIN_TOL`` times ``active_tol`` for
 every unfrozen row, the remaining stages freeze rows from the gains at
 the last LP solution, with no further LP.  A row found fixed stays
 fixed, so from then on every stage is LP-free, and they run in one pass
-over the unfrozen rows sorted by that gain: each freezes the rows within
-``active_tol`` of the largest gain left, the band rule of
-``detect_active``.  Such stages still count as stages and get freeze
-records.  This is common because constraint rows have far lower rank
+over the gains as Python floats (``_tail_stages``), the unfrozen rows
+sorted by gain, descending and stable: each freezes the rows within
+``active_tol`` of the largest gain left, as repeated ``detect_active``
+calls would.  The distance to that gain never decreases along the sorted
+rows, so each band is a prefix of the rows left.  Such stages still count
+as stages and get freeze records.  This is common because constraint rows have far lower rank
 than their count: a row of a score-table game depends on the joint only
 through the task marginal, and a 16-row 8×8 meta-game of a 3×3 game has
 rank 6.
@@ -95,6 +101,8 @@ e_p(a) = max_b G_p(b, a_-p) - G_p(a) is also the largest value of player
 p's rows at a.  A block of columns is gathered from the tensors, pricing
 all joints takes one contraction of e_p per player, and the live joints'
 columns form one dense block once a joint retires or a span test runs.
+While the working set holds every live joint, as in a game no wider than
+the working set, the two blocks are one array, cut once per retirement.
 
 Joints that no stage LP tells apart share one column.  A swap of
 players p and q maps a game to itself when they have as many strategies,
@@ -127,6 +135,7 @@ tight at every optimum, and so the ratings.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -312,12 +321,12 @@ class _Constraints:
         # each player's e_p with its own axis first, built on first use:
         # a rating whose working set holds every joint never prices here
         self._views = None
-        # row_of[i] is the LP row of constraint row i, ``swap`` maps each
-        # joint to the swapped one, and ``_share`` is the part of an LP
-        # row's dual that each of its constraint rows gets in ``price``;
-        # with a swap of players p and q, q's rows share p's LP rows
+        # row_of[i] is the LP row of constraint row i and ``swap`` maps
+        # each joint to the swapped one; with a swap of players p and q,
+        # q's rows share p's LP rows
         self._pair = _player_swap(game)
-        self.row_of = np.arange(sum(shape))
+        self.num_rows = sum(shape)
+        self.row_of = np.arange(self.num_rows)
         self.swap = joints = np.arange(game.num_joints)
         if self._pair is not None:
             p, q = self._pair
@@ -325,8 +334,7 @@ class _Constraints:
             self.row_of[start[q] :] -= shape[q]
             self.row_of[start[q] : start[q + 1]] = self.row_of[start[p] : start[p + 1]]
             self.swap = joints.reshape(shape).swapaxes(p, q).ravel()
-        self._share = 1.0 / np.bincount(self.row_of)[self.row_of]
-        self.num_rows = int(self.row_of.max()) + 1
+            self.num_rows -= shape[q]
         # the first joint of a joint's group, then of the group joined
         # with its swapped group, written over ``first``: with no swap,
         # ``joints`` is ``swap`` and keeps its values
@@ -382,7 +390,7 @@ class _Constraints:
         """The LP rows that are zero at every joint: all of a player's rows
         are, exactly when its payoffs do not depend on its own strategy."""
         zero = np.empty(self.num_rows, dtype=bool)
-        zero[self.row_of] = np.concatenate([np.full(n, not e.any()) for e, n in zip(self._excess, self._shape)])
+        zero[self.row_of] = np.repeat([not e.any() for e in self._excess], self._shape)
         return zero
 
     def columns(self, joints: np.ndarray) -> np.ndarray:
@@ -411,9 +419,11 @@ class _Constraints:
         on p's rows and zeros on q's; by the same symmetry as in
         ``columns``, it equals the price with half of p's duals on each of
         p's and q's rows, the same at a joint and its swapped joint."""
-        y = y[self.row_of] * self._share
         if self._views is None:
             self._views = [np.moveaxis(e, p, 0).reshape(e.shape[p], -1) for p, e in enumerate(self._excess)]
+            # the part of an LP row's dual that each of its constraint rows gets
+            self._share = 1.0 / np.bincount(self.row_of)[self.row_of]
+        y = y[self.row_of] * self._share
         total = np.zeros(self._shape)
         start = 0
         for p, (e, view) in enumerate(zip(self._excess, self._views)):
@@ -461,11 +471,12 @@ class _StageModel:
     they joined; ``working_values`` holds their constraint columns.  Row i
     is LP row i of the constraints, A_i @ sigma - t <= 0 while unfrozen and
     A_i @ sigma <= r once frozen at r; the last row is the simplex row.
-    The cost of t is 1 and the cost of a joint column is ``weights @ A``
-    at that joint: zero for a stage LP, the indicator of the rows whose
-    sum ``tight_rows`` minimizes.  ``live`` lists the joints not retired,
-    in joint order, and holds every working-set joint, so a binary search
-    in it finds them; a retired working-set column is deleted."""
+    ``pins`` lists the frozen rows in the order they froze.  The cost of t
+    is 1 and the cost of a joint column is ``weights @ A`` at that joint:
+    zero for a stage LP, the indicator of the rows whose sum ``tight_rows``
+    minimizes.  ``live`` lists the joints not retired, in joint order, and
+    holds every working-set joint, so a binary search in it finds them; a
+    retired working-set column is deleted."""
 
     def __init__(self, constraints: _Constraints, working: np.ndarray, live: np.ndarray):
         num_rows = constraints.num_rows
@@ -473,27 +484,24 @@ class _StageModel:
         self._highs = _thread_highs()
         self._weights = np.zeros(num_rows)
         self._upper = np.zeros(num_rows)
+        self.pins: list[int] = []
         self.working = np.empty(0, dtype=int)
         self.working_values = np.empty((num_rows, 0))
         self.live = live
-        self.frozen: dict[int, float] = {}
+        lower, upper = np.full(num_rows + 1, -kHighsInf), np.zeros(num_rows + 1)
+        lower[-1] = upper[-1] = 1.0
         self._check(self._highs.addRows(
-            num_rows + 1,
-            np.append(np.full(num_rows, -kHighsInf), 1.0),
-            np.append(np.zeros(num_rows), 1.0),
-            0,
-            np.zeros(num_rows + 1, dtype=np.int32),
-            np.empty(0, dtype=np.int32),
-            np.empty(0),
+            num_rows + 1, lower, upper, 0, np.zeros(num_rows + 1, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0)
         ))
         self._check(self._highs.addCols(
-            1, np.ones(1), np.full(1, -kHighsInf), np.full(1, kHighsInf),
+            1, np.array([1.0]), np.array([-kHighsInf]), np.array([kHighsInf]),
             num_rows, np.zeros(1, dtype=np.int32), np.arange(num_rows, dtype=np.int32), np.full(num_rows, -1.0),
         ))
         self._add(working)
-        # the columns of the live joints, in ``live`` order: those of the
-        # working set when it holds every live joint; else built at the first
-        # retirement or span test, and until then pricing contracts the tensors
+        # the columns of the live joints, in ``live`` order: while the
+        # working set is every live joint, in that order, the same block as
+        # ``working_values``; else built at the first retirement or span
+        # test, and until then pricing contracts the tensors
         self._live_values = self.working_values if working.size == live.size else None
 
     def _check(self, status: HighsStatus) -> None:
@@ -507,20 +515,25 @@ class _StageModel:
         """Append ``joints`` as columns: their constraint values and a 1 in
         the simplex row, compressed with zeros dropped."""
         values = self._constraints.columns(joints)
-        block = np.vstack((values, np.ones(joints.size)))
-        cols, index = np.nonzero(block.T)
+        size = joints.size
+        # one row per column, the simplex row last
+        block = np.empty((size, values.shape[0] + 1))
+        block[:, :-1] = values.T
+        block[:, -1] = 1.0
+        nonzero = block != 0
+        cols, index = nonzero.nonzero()
         self._check(self._highs.addCols(
-            joints.size,
+            size,
             self._weights @ values,
-            np.zeros(joints.size),
-            np.full(joints.size, kHighsInf),
+            np.zeros(size),
+            np.full(size, kHighsInf),
             index.size,
-            np.searchsorted(cols, np.arange(joints.size)).astype(np.int32),
+            cols.searchsorted(np.arange(size)).astype(np.int32),
             index.astype(np.int32),
-            block[index, cols],
+            block[nonzero],
         ))
         self.working = np.concatenate((self.working, joints))
-        self.working_values = np.hstack((self.working_values, values))
+        self.working_values = np.concatenate((self.working_values, values), axis=1)
 
     def live_values(self) -> np.ndarray:
         """The constraint columns of the live joints, in ``live`` order."""
@@ -533,12 +546,13 @@ class _StageModel:
         size = self.working.size
         self._check(self._highs.changeColsCost(size, np.arange(1, size + 1, dtype=np.int32), weights @ self.working_values))
 
-    def freeze(self, rows, bounds) -> None:
+    def freeze(self, rows: Sequence[int], bounds: Sequence[float]) -> None:
         """Turn each of ``rows`` into ``A_i @ sigma <= bound``."""
         for i, bound in zip(rows, bounds):
-            self._highs.changeCoeff(int(i), 0, 0.0)
-            self._highs.changeRowBounds(int(i), -kHighsInf, float(bound))
-            self.frozen[int(i)] = self._upper[i] = float(bound)
+            self._highs.changeCoeff(i, 0, 0.0)
+            self._highs.changeRowBounds(i, -kHighsInf, bound)
+            self._upper[i] = bound
+        self.pins += rows
 
     def retire(self, reduced: np.ndarray) -> None:
         """Retire the live joints whose reduced cost ``reduced`` (in
@@ -547,16 +561,24 @@ class _StageModel:
         one.  A retired working-set column is nonbasic at 0, so deleting
         it keeps the basis valid."""
         dead = reduced > PRICING_TOL
-        if not dead.any():
+        if not dead.nonzero()[0].size:
             return
-        gone = dead[np.searchsorted(self.live, self.working)]
-        if gone.any():
-            cols = np.flatnonzero(gone).astype(np.int32) + 1
-            self._check(self._highs.deleteCols(cols.size, cols))
-            self.working = self.working[~gone]
-            self.working_values = self.working_values[:, ~gone]
-        self.live = self.live[~dead]
-        self._live_values = self._constraints.columns(self.live) if self._live_values is None else self._live_values[:, ~dead]
+        # a working set of every live joint is cut once for both
+        shared = self._live_values is self.working_values
+        gone = dead if shared else dead[np.searchsorted(self.live, self.working)]
+        cols = gone.nonzero()[0]
+        if cols.size:
+            self._check(self._highs.deleteCols(cols.size, cols.astype(np.int32) + 1))
+            kept = ~gone
+            self.working = self.working[kept]
+            self.working_values = self.working_values[:, kept]
+        if shared:
+            self.live = self.working
+            self._live_values = self.working_values
+        else:
+            kept = ~dead
+            self.live = self.live[kept]
+            self._live_values = self._constraints.columns(self.live) if self._live_values is None else self._live_values[:, kept]
 
     def _run(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Solve the model as it stands.  Returns (raw sigma over the
@@ -568,29 +590,29 @@ class _StageModel:
             status = HighsModelStatus.kSolveError
         else:
             status = highs.getModelStatus()
-        model_status = highs.modelStatusToString(status)
-        if status == HighsModelStatus.kInfeasible:
-            raise RatingInfeasibleError(
-                f"stage LP infeasible with {len(self.frozen)} frozen rows", dict(self.frozen), model_status
-            )
         if status != HighsModelStatus.kOptimal:
-            raise RatingError(f"stage LP failed with {len(self.frozen)} frozen rows", model_status)
+            model_status = highs.modelStatusToString(status)
+            if status == HighsModelStatus.kInfeasible:
+                frozen = dict(zip(self.pins, self._upper[self.pins].tolist()))
+                raise RatingInfeasibleError(f"stage LP infeasible with {len(frozen)} frozen rows", frozen, model_status)
+            raise RatingError(f"stage LP failed with {len(self.pins)} frozen rows", model_status)
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         activity = np.array(solution.row_value)
-        if (
-            np.isnan(x).any()
-            or np.isnan(activity).any()
-            or (x[1:] < -RESIDUAL_TOL).any()
-            or (activity[:-1] - self._upper > RESIDUAL_TOL).any()
-            or abs(activity[-1] - 1.0) > RESIDUAL_TOL
+        t = x.item(0)
+        # each test is false on NaN, so a NaN fails it
+        if not (
+            t == t
+            and (x[1:] >= -RESIDUAL_TOL).all()
+            and (activity[:-1] - self._upper <= RESIDUAL_TOL).all()
+            and abs(activity.item(-1) - 1.0) <= RESIDUAL_TOL
         ):
             raise RatingError(
-                f"stage LP solution with {len(self.frozen)} frozen rows misses its "
+                f"stage LP solution with {len(self.pins)} frozen rows misses its "
                 f"constraints by more than {RESIDUAL_TOL:.2e}",
-                model_status,
+                highs.modelStatusToString(status),
             )
-        return x[1:], float(x[0]), np.array(solution.row_dual)
+        return x[1:], t, np.array(solution.row_dual)
 
     def solve(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
         """Solve, adding the live joints that price negative until none
@@ -602,6 +624,9 @@ class _StageModel:
             y = row_dual[:-1] - self._weights
             priced = self._constraints.price(y)[self.live] if self._live_values is None else y @ self._live_values
             reduced = -priced - row_dual[-1]
+            if self._live_values is self.working_values:
+                # no live joint is outside the working set
+                return x, objective, row_dual, reduced
             negative = reduced < -PRICING_TOL
             negative[np.searchsorted(self.live, self.working)] = False
             entering = np.flatnonzero(negative)
@@ -611,46 +636,48 @@ class _StageModel:
             order = np.argsort(reduced[entering], kind="stable")
             self._add(self.live[entering[order[: PRICING_BATCH_PER_ROW * self._constraints.num_rows]]])
 
-    def tight_rows(self, band: Sequence[int], objective: float, row_dual: np.ndarray, tol: float) -> tuple[int, ...]:
+    def tight_rows(self, band: Sequence[int], objective: float, row_dual: Sequence[float], tol: float) -> list[int]:
         """The rows of ``band`` that are tight at every optimum of the stage
         LP just solved, whose optimum is ``objective`` and row duals
-        ``row_dual``.  A row with a nonzero dual is, by complementary
-        slackness; ``band`` holds every unfrozen such row.  The others are
-        tested by minimizing their sum over the optimal face (t fixed at
-        the optimum); each whose gain there is below ``objective - tol`` is
-        released, and the rest are tested again until none is released."""
-        band = np.array(band, dtype=int)
+        ``row_dual``, in order.  A row with a nonzero dual is, by
+        complementary slackness; ``band`` holds every unfrozen such row.
+        The others are tested by minimizing their sum over the optimal face
+        (t fixed at the optimum); each whose gain there is below
+        ``objective - tol`` is released, and the rest are tested again
+        until none is released."""
         # a row's dual is the reduced cost of its slack
-        tight = np.abs(row_dual[band]) > PRICING_TOL
-        candidates = band[~tight]
-        if candidates.size:
-            self._highs.changeColBounds(0, objective, objective)
-            while candidates.size:
-                weights = np.zeros(self._constraints.num_rows)
-                weights[candidates] = 1.0
-                self._set_weights(weights)
-                x = self.solve()[0]
-                kept = self.working_values[candidates] @ x >= objective - tol
-                if kept.all():
-                    break
-                candidates = candidates[kept]
-            self._set_weights(np.zeros(self._constraints.num_rows))
-            self._highs.changeColBounds(0, -kHighsInf, kHighsInf)
-        return tuple(sorted(band[tight].tolist() + candidates.tolist()))
+        tight = [i for i in band if abs(row_dual[i]) > PRICING_TOL]
+        if len(tight) == len(band):
+            return list(band)
+        candidates = np.array([i for i in band if not abs(row_dual[i]) > PRICING_TOL])
+        self._highs.changeColBounds(0, objective, objective)
+        while candidates.size:
+            weights = np.zeros(self._constraints.num_rows)
+            weights[candidates] = 1.0
+            self._set_weights(weights)
+            x = self.solve()[0]
+            kept = self.working_values[candidates] @ x >= objective - tol
+            if kept.all():
+                break
+            candidates = candidates[kept]
+        self._set_weights(np.zeros(self._constraints.num_rows))
+        self._highs.changeColBounds(0, -kHighsInf, kHighsInf)
+        return sorted(tight + candidates.tolist())
 
 
 def _sanitize(sigma_raw: np.ndarray) -> np.ndarray:
     """Clip solver noise below 0 and renormalize to an exact unit sum."""
-    sigma = np.clip(sigma_raw, 0.0, None)
+    sigma = np.maximum(sigma_raw, 0.0)
     total = sigma.sum()
     if total <= 0.0:
         raise RatingError("stage LP returned a zero distribution")
     return sigma / total
 
 
-def _in_band(gains: np.ndarray, top: float, tol: float) -> np.ndarray:
-    """The tie rule: which of ``gains`` lie within ``tol`` of ``top``."""
-    return np.abs(gains - top) <= tol
+def _in_band(gains, top: float, tol: float):
+    """The tie rule: whether ``gains``, a float or an array of them, lie
+    within ``tol`` of ``top``."""
+    return abs(gains - top) <= tol
 
 
 def detect_active(row_gains: np.ndarray, objective: float, *, config: SolverConfig = SolverConfig(), frozen: frozenset | set = frozenset()) -> tuple[int, ...]:
@@ -673,20 +700,33 @@ def detect_active(row_gains: np.ndarray, objective: float, *, config: SolverConf
     return tuple(active.tolist())
 
 
-def _tail_stages(gains: np.ndarray, rows: Sequence[int], tol: float) -> list[tuple[float, tuple[int, ...]]]:
+def _band(gains: Sequence[float], objective: float, row_dual: Sequence[float], rows: Sequence[int], tol: float) -> list[int]:
+    """The rows of ``rows`` that a stage whose optimum is ``objective``
+    tests with ``tight_rows``, in order: those ``detect_active`` picks from
+    them at ``gains``, and every one with a nonzero dual in ``row_dual``."""
+    band = [i for i in rows if _in_band(gains[i], objective, tol)]
+    if not band:
+        # the first of the largest gains, as np.argmax picks it
+        band = [max(rows, key=gains.__getitem__)]
+    return sorted(set(band).union(i for i in rows if abs(row_dual[i]) > PRICING_TOL))
+
+
+def _tail_stages(gains: Sequence[float], rows: Sequence[int], tol: float) -> list[tuple[float, tuple[int, ...]]]:
     """The (objective, rows) of each stage that freezes ``rows`` at fixed
     ``gains``, in one pass: the stages repeated ``detect_active`` gives
     with each objective the largest gain left.  In the rows sorted by
-    gain, each band is the rows within ``tol`` of its first, a prefix of
-    the rows left since the sort is descending."""
-    rows = np.asarray(rows, dtype=int)
-    order = rows[np.argsort(-gains[rows], kind="stable")]
-    ordered = gains[order]
+    gain, descending and stable, each band is the rows within ``tol`` of
+    its first: a prefix of the rows left, since the distance to the first
+    never decreases along them."""
+    order = sorted(rows, key=gains.__getitem__, reverse=True)
     stages = []
     start = 0
-    while start < order.size:
-        end = start + int(np.count_nonzero(_in_band(ordered[start:], ordered[start], tol)))
-        stages.append((float(ordered[start]), tuple(sorted(order[start:end].tolist()))))
+    while start < len(order):
+        top = gains[order[start]]
+        end = start + 1
+        while end < len(order) and _in_band(gains[order[end]], top, tol):
+            end += 1
+        stages.append((float(top), tuple(sorted(order[start:end]))))
         start = end
     return stages
 
@@ -702,23 +742,28 @@ def _fixed(values: np.ndarray, pins: Sequence[int], rows: Sequence[int], tol: fl
     first and then each pin in order.  A pin joins only if its residual
     outside the basis is not negligible against its norm, a rank-revealing
     step: pins that are zero, repeated, or dependent on these joints drop
-    out."""
-    q = np.empty((len(pins) + 1, values.shape[1]))
-    q[0] = values.shape[1] ** -0.5
+    out, as does every pin once the basis spans all the joints, where its
+    residual is rounding error."""
+    size = values.shape[1]
+    q = np.empty((min(len(pins) + 1, size), size))
+    q[0] = size ** -0.5
     rank = 1
-    for vector in values[pins]:
+    for i in pins:
+        if rank == size:
+            break
+        vector = values[i]
         basis = q[:rank]
         # two passes, so the residual is orthogonal to the basis
         v = vector - (basis @ vector) @ basis
         v -= (basis @ v) @ basis
-        residual = np.sqrt(v @ v)
-        if residual > 1e-9 * np.sqrt(vector @ vector):
+        residual = math.sqrt(v @ v)
+        if residual > 1e-9 * math.sqrt(vector @ vector):
             q[rank] = v / residual
             rank += 1
     basis = q[:rank]
     r = values[rows]
     r -= (r @ basis.T) @ basis
-    return r.max(axis=1) - r.min(axis=1) <= tol
+    return np.maximum.reduce(r, axis=1) - np.minimum.reduce(r, axis=1) <= tol
 
 
 def _rate(game: NormalFormGame, config: SolverConfig, groups: np.ndarray | None = None) -> RatingResult:
@@ -727,70 +772,80 @@ def _rate(game: NormalFormGame, config: SolverConfig, groups: np.ndarray | None 
     duplicate joints; the equilibrium splits each class's mass evenly
     over its joints."""
     constraints = _Constraints(game, groups)
-    factor = constraints.spread
-    num_rows, num_joints = constraints.num_rows, game.num_joints
+    factor, tol = constraints.spread, config.active_tol
     labels = [(game.players[p], s) for p, names in enumerate(game.strategies) for s in names]
-    # a class is named by its first joint, the one joint of it in the LP
-    class_of = constraints.class_of
-    live = np.flatnonzero(np.bincount(class_of))
-    log: list[FreezeRecord] = []
-    members: list[list[int]] = [[] for _ in range(num_rows)]
+    # the constraint rows that each LP row stands for, in row order
+    members: list[list[int]] = [[] for _ in range(constraints.num_rows)]
     for r, i in enumerate(constraints.row_of.tolist()):
         members[i].append(r)
+    log: list[FreezeRecord] = []
 
-    def record(stage: int, rows: tuple[int, ...], objective: float) -> None:
-        # the constraint rows that the LP rows stand for, in row order
-        full = sorted(r for i in rows for r in members[i])
-        log.append(FreezeRecord(stage, tuple(labels[r] for r in full), objective * factor))
+    def record(stage: int, rows: Sequence[int], objective: float) -> None:
+        full = sorted([r for i in rows for r in members[i]])
+        log.append(FreezeRecord(stage, tuple([labels[r] for r in full]), objective * factor))
 
+    # a class is named by its first joint, the one joint of it in the LP
+    class_of = constraints.class_of
+    class_size = np.bincount(class_of)
+    live = class_size.nonzero()[0]
     model = _StageModel(constraints, constraints.initial_joints(live), live)
-    zero_rows = tuple(np.flatnonzero(constraints.zero_rows()).tolist())
+    # each LP row's frozen bound, 0 for the zero rows, and the rows not
+    # yet frozen, in order
+    bounds = [0.0] * constraints.num_rows
+    zero = constraints.zero_rows()
+    unfrozen = (~zero).nonzero()[0].tolist()
+    zero_rows = zero.nonzero()[0].tolist()
     if zero_rows:
-        model.freeze(zero_rows, np.zeros(len(zero_rows)))
+        model.freeze(zero_rows, [0.0] * len(zero_rows))
         record(0, zero_rows, 0.0)
 
     # the joints of the last solution and their masses
     support, mass = live, np.full(live.size, 1.0 / live.size)
     stage = 0
-    while len(model.frozen) < num_rows:
-        frozen = frozenset(model.frozen)
-        unfrozen = [i for i in range(num_rows) if i not in frozen]
-        if stage and _fixed(model.live_values(), list(model.frozen), unfrozen, FIXED_GAIN_TOL * config.active_tol).all():
+    while unfrozen:
+        if stage and _fixed(model.live_values(), model.pins, unfrozen, FIXED_GAIN_TOL * tol).all():
             # every distribution that meets the frozen rows gives each
             # unfrozen row the same gain, so the gains of the last LP
             # solution stand for all; a row found fixed stays fixed, so no
             # later stage needs an LP either, and the model, never solved
             # again, is left as it is
-            for objective, active in _tail_stages(gains, unfrozen, config.active_tol):
+            for objective, active in _tail_stages(gains, unfrozen, tol):
                 stage += 1
-                model.frozen.update(zip(active, gains[list(active)].tolist()))
                 record(stage, active, objective)
+            for i in unfrozen:
+                bounds[i] = gains[i]
             break
         stage += 1
-        if stage > num_rows:
+        if stage > constraints.num_rows:
             raise StageBudgetError(
-                f"exceeded stage budget {num_rows} with {num_rows - len(model.frozen)} rows left"
+                f"exceeded stage budget {constraints.num_rows} with {len(unfrozen)} rows left"
             )
         sigma_raw, objective, row_dual, reduced_costs = model.solve()
         support, mass = model.working, _sanitize(sigma_raw)
-        gains = model.working_values @ mass
+        gains = (model.working_values @ mass).tolist()
         # every later stage's optima lie on this stage's optimal face
         model.retire(reduced_costs)
-        dual_rows = np.array(unfrozen)[np.abs(row_dual[unfrozen]) > PRICING_TOL]
-        band = np.union1d(detect_active(gains, objective, config=config, frozen=frozen), dual_rows)
-        active = model.tight_rows(band, objective, row_dual, config.active_tol)
-        model.freeze(active, gains[list(active)])
+        duals = row_dual.tolist()
+        active = model.tight_rows(_band(gains, objective, duals, unfrozen, tol), objective, duals, tol)
+        model.freeze(active, [gains[i] for i in active])
         record(stage, active, objective)
+        for i in active:
+            bounds[i] = gains[i]
+        unfrozen = [i for i in unfrozen if i not in active]
 
     # each class's mass, at its first joint, split evenly over its joints
-    sigma = np.zeros(num_joints)
-    sigma[support] = mass / np.bincount(class_of)[support]
-    scaled = np.array([model.frozen[i] for i in range(num_rows)])[constraints.row_of] * factor
+    sigma = np.zeros(game.num_joints)
+    sigma[support] = mass / class_size[support]
+    scaled = np.array(bounds)[constraints.row_of] * factor
     scaled.setflags(write=False)
+    ratings, start = [], 0
+    for n in game.shape:
+        ratings.append(scaled[start : start + n])
+        start += n
     return RatingResult(
         players=game.players,
         strategies=game.strategies,
-        ratings=tuple(np.split(scaled, np.cumsum(game.shape)[:-1])),
+        ratings=tuple(ratings),
         equilibrium=JointDistribution(sigma[class_of]),
         freeze_log=tuple(log),
         stage_count=stage,

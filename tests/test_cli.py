@@ -85,6 +85,21 @@ def test_rate_elo_and_nash_avg(tmp_path, table_csv):
     assert json.loads(open(out2).read())["method"] == "nash-avg"
 
 
+def test_rate_elo_converges_when_one_model_beats_every_other(tmp_path):
+    # m1 has the table's largest margin over both other models; a margin
+    # bound equal to it would map that margin to a win probability of 1,
+    # for which no finite Elo fit exists
+    path = tmp_path / "scores.csv"
+    path.write_text("model,t1,t2\nm1,0.1,0.9\nm2,0.5,0.4\nm3,0.7,0.2\n", encoding="utf-8")
+    out = tmp_path / "elo.json"
+    assert main(["rate", "--input", str(path), "--method", "elo", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["converged"] and payload["iterations"] < 20000
+    ratings = payload["ratings"]
+    assert sorted(ratings) == ["m1", "m2", "m3"] and abs(sum(ratings.values())) < 1e-9
+    assert all(np.isfinite(list(ratings.values())))
+
+
 def test_rate_incompatible_combinations_exit_2(tmp_path, shapley_json, table_csv):
     assert main(["rate", "--input", table_csv, "--gamify", "3p",
                  "--method", "nash-avg", "--output", str(tmp_path / "x.json")]) == 2

@@ -283,6 +283,54 @@ def test_one_pass_tail_matches_repeated_detect_active():
         gains = -0.1 * rng.integers(0, 3, size=16) - 0.4 * tol * rng.integers(0, 6, size=16)
         rows = sorted(rng.choice(16, size=int(rng.integers(1, 17)), replace=False).tolist())
         assert tail(gains, rows, tol) == _repeated_detect_active(gains, rows, tol)
+    # the 16 rows of a loop meta-game, with gains on a grid of step tol, so
+    # that rows lie exactly tol apart, of either sign and with -0.0 among
+    # them; the engine passes the gains as a list of floats
+    for k in range(300):
+        rng = np.random.default_rng((11, k))
+        step = float(rng.choice([tol, 0.25, 1.0]))
+        gains = step * rng.integers(-3, 3, size=16).astype(float)
+        gains[rng.random(16) < 0.2] = -0.0
+        rows = sorted(rng.choice(16, size=int(rng.integers(1, 17)), replace=False).tolist())
+        for band_tol in (0.0, step, tol):
+            expected = _repeated_detect_active(gains, rows, band_tol)
+            assert tail(gains, rows, band_tol) == expected
+            assert tail(gains.tolist(), rows, band_tol) == expected
+
+
+# Each case is (top, the lowest gain within tol of it, tol).  Every
+# difference below is exact in binary floating point, so the gain one
+# np.nextafter step lower lies strictly more than tol from the top.
+_BAND_EDGES = [
+    (0.75, 0.5, 0.25),
+    (0.25, -0.5, 0.75),  # the band spans both signs
+    (0.0, -0.0, 0.0),  # -0.0 ties with 0.0 at tol = 0
+    (-0.0, 0.0, 0.0),
+    (-0.3, -0.3, 0.0),
+    (0.0, -1e-8, 1e-8),  # the default active_tol
+]
+
+
+@pytest.mark.parametrize("top, edge, tol", _BAND_EDGES)
+def test_a_gain_exactly_tol_below_the_top_joins_its_band(top, edge, tol):
+    below = float(np.nextafter(edge, -np.inf))
+    assert abs(edge - top) == tol and abs(below - top) > tol
+    gains = [top, edge, below]
+    array = np.array(gains)
+    rows = [0, 1, 2]
+    # the LP-free tail: the first band holds the top and the edge only
+    tail = devrating.rating._tail_stages
+    assert tail(gains, rows, tol) == tail(array, rows, tol) == [(top, (0, 1)), (below, (2,))]
+    assert tail(gains, rows, tol) == _repeated_detect_active(array, rows, tol)
+    # the band after a stage LP whose optimum is the top
+    assert detect_active(array, top, config=SolverConfig(active_tol=tol)) == (0, 1)
+    band = devrating.rating._band
+    assert band(gains, top, [0.0, 0.0, 0.0], rows, tol) == [0, 1]
+    # a row with a nonzero dual joins the band at any gain
+    assert band(gains, top, [0.0, 0.0, -1.0], rows, tol) == [0, 1, 2]
+    # with no row in the band, the first of the largest gains
+    assert band(gains, top, [0.0, 0.0, 0.0], [2], tol) == [2]
+    assert band([below, below], top, [0.0, 0.0], [0, 1], tol) == [0]
 
 
 def test_result_serialization_schema(tmp_path):
