@@ -15,12 +15,10 @@ their gain at the solution found, so stage objectives never increase and
 the rating does not depend on which optimal vertex the solver returns.
 Since a frozen row is tight on the whole optimal face, ``<= r_f`` admits
 the same later optima as ``== r_f`` would, and unlike equations it keeps
-the previous solution's basis usable.  The candidates (``_band``) are
-the unfrozen rows whose gain is within ``active_tol`` of the optimum t*,
-or the first row of largest gain if none is, and every unfrozen row whose
-dual is nonzero.  The tie rule, ``|gain - top| <= active_tol``, has one
-definition (``_in_band``), which ``detect_active`` applies to an array of
-gains and the engine to Python floats.  A candidate with a nonzero row dual is tight at every
+the previous solution's basis usable.  The candidates are the unfrozen
+rows that ``detect_active`` picks, those whose gain is within
+``active_tol`` of the optimum t* or else the first row of largest gain,
+and every unfrozen row whose dual is nonzero.  A candidate with a nonzero row dual is tight at every
 optimum by complementary slackness, whatever its gain.  The rest are
 tested on the optimal face (t fixed at t*) by minimizing the sum of their
 gains: each whose gain there is below t* - ``active_tol`` is released,
@@ -674,10 +672,16 @@ def _sanitize(sigma_raw: np.ndarray) -> np.ndarray:
     return sigma / total
 
 
-def _in_band(gains, top: float, tol: float):
-    """The tie rule: whether ``gains``, a float or an array of them, lie
-    within ``tol`` of ``top``."""
-    return abs(gains - top) <= tol
+def _in_band(gain: float, top: float, tol: float) -> bool:
+    """The tie rule: whether ``gain`` lies within ``tol`` of ``top``."""
+    return abs(gain - top) <= tol
+
+
+def _near_top(gains: Sequence[float], top: float, rows: Sequence[int], tol: float) -> list[int]:
+    """The rows of ``rows`` (sorted, not empty) whose gain lies within
+    ``tol`` of ``top``, or else the first row of largest gain."""
+    band = [i for i in rows if _in_band(gains[i], top, tol)]
+    return band or [max(rows, key=gains.__getitem__)]
 
 
 def detect_active(row_gains: np.ndarray, objective: float, *, config: SolverConfig = SolverConfig(), frozen: frozenset | set = frozenset()) -> tuple[int, ...]:
@@ -689,26 +693,8 @@ def detect_active(row_gains: np.ndarray, objective: float, *, config: SolverConf
     bad = sorted(i for i in frozen if not 0 <= i < row_gains.size)
     if bad:
         raise ValueError(f"frozen row {bad[0]!r} is out of range for {row_gains.size} rows")
-    free = np.ones(row_gains.size, dtype=bool)
-    free[list(frozen)] = False
-    if not free.any():
-        return ()
-    active = np.flatnonzero(free & _in_band(row_gains, objective, config.active_tol))
-    if not active.size:
-        candidates = np.flatnonzero(free)
-        active = candidates[[np.argmax(row_gains[candidates])]]
-    return tuple(active.tolist())
-
-
-def _band(gains: Sequence[float], objective: float, row_dual: Sequence[float], rows: Sequence[int], tol: float) -> list[int]:
-    """The rows of ``rows`` that a stage whose optimum is ``objective``
-    tests with ``tight_rows``, in order: those ``detect_active`` picks from
-    them at ``gains``, and every one with a nonzero dual in ``row_dual``."""
-    band = [i for i in rows if _in_band(gains[i], objective, tol)]
-    if not band:
-        # the first of the largest gains, as np.argmax picks it
-        band = [max(rows, key=gains.__getitem__)]
-    return sorted(set(band).union(i for i in rows if abs(row_dual[i]) > PRICING_TOL))
+    rows = [i for i in range(row_gains.size) if i not in frozen]
+    return tuple(_near_top(row_gains.tolist(), objective, rows, config.active_tol)) if rows else ()
 
 
 def _tail_stages(gains: Sequence[float], rows: Sequence[int], tol: float) -> list[tuple[float, tuple[int, ...]]]:
@@ -826,7 +812,10 @@ def _rate(game: NormalFormGame, config: SolverConfig, groups: np.ndarray | None 
         # every later stage's optima lie on this stage's optimal face
         model.retire(reduced_costs)
         duals = row_dual.tolist()
-        active = model.tight_rows(_band(gains, objective, duals, unfrozen, tol), objective, duals, tol)
+        # the candidates of ``detect_active``, and every row with a nonzero dual
+        band = set(_near_top(gains, objective, unfrozen, tol))
+        band.update(i for i in unfrozen if abs(duals[i]) > PRICING_TOL)
+        active = model.tight_rows(sorted(band), objective, duals, tol)
         model.freeze(active, [gains[i] for i in active])
         record(stage, active, objective)
         for i in active:

@@ -322,15 +322,13 @@ def test_a_gain_exactly_tol_below_the_top_joins_its_band(top, edge, tol):
     tail = devrating.rating._tail_stages
     assert tail(gains, rows, tol) == tail(array, rows, tol) == [(top, (0, 1)), (below, (2,))]
     assert tail(gains, rows, tol) == _repeated_detect_active(array, rows, tol)
-    # the band after a stage LP whose optimum is the top
+    # the candidates after a stage LP whose optimum is the top
     assert detect_active(array, top, config=SolverConfig(active_tol=tol)) == (0, 1)
-    band = devrating.rating._band
-    assert band(gains, top, [0.0, 0.0, 0.0], rows, tol) == [0, 1]
-    # a row with a nonzero dual joins the band at any gain
-    assert band(gains, top, [0.0, 0.0, -1.0], rows, tol) == [0, 1, 2]
+    near_top = devrating.rating._near_top
+    assert near_top(gains, top, rows, tol) == [0, 1]
     # with no row in the band, the first of the largest gains
-    assert band(gains, top, [0.0, 0.0, 0.0], [2], tol) == [2]
-    assert band([below, below], top, [0.0, 0.0], [0, 1], tol) == [0]
+    assert near_top(gains, top, [2], tol) == [2]
+    assert near_top([below, below], top, [0, 1], tol) == [0]
 
 
 def test_result_serialization_schema(tmp_path):
